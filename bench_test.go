@@ -10,7 +10,6 @@
 package pccbench
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -24,7 +23,17 @@ const benchScale = 0.1
 
 const benchSeed = 42
 
-// reportRatio extracts a float from a report cell, tolerating "-".
+// run regenerates one experiment at the bench scale and seed.
+func run(b *testing.B, id string) *exp.Report {
+	b.Helper()
+	rep, err := exp.Run(id, benchScale, benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep
+}
+
+// cell extracts a float from a report cell, tolerating "-".
 func cell(rep *exp.Report, row, col int) float64 {
 	if row >= len(rep.Rows) || col >= len(rep.Rows[row]) {
 		return 0
@@ -48,7 +57,7 @@ func findRow(rep *exp.Report, key string) int {
 
 func BenchmarkFig05Internet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := exp.RunFig5(benchScale, benchSeed)
+		rep := run(b, "fig5")
 		if r := findRow(rep, "cubic"); r >= 0 {
 			b.ReportMetric(cell(rep, r, 2), "median_ratio_vs_cubic")
 		}
@@ -57,7 +66,7 @@ func BenchmarkFig05Internet(b *testing.B) {
 
 func BenchmarkTable1InterDC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := exp.RunTable1(benchScale, benchSeed)
+		rep := run(b, "table1")
 		// Average PCC throughput over the nine pairs.
 		var sum float64
 		for r := range rep.Rows {
@@ -69,7 +78,7 @@ func BenchmarkTable1InterDC(b *testing.B) {
 
 func BenchmarkFig06Satellite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := exp.RunFig6(benchScale, benchSeed)
+		rep := run(b, "fig6")
 		last := len(rep.Rows) - 1
 		pcc, hybla := cell(rep, last, 1), cell(rep, last, 2)
 		if hybla > 0 {
@@ -80,7 +89,7 @@ func BenchmarkFig06Satellite(b *testing.B) {
 
 func BenchmarkFig07Loss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := exp.RunFig7(benchScale, benchSeed)
+		rep := run(b, "fig7")
 		if r := findRow(rep, "0.010"); r >= 0 {
 			b.ReportMetric(cell(rep, r, 1), "pcc_Mbps_at_1pct")
 			if c := cell(rep, r, 3); c > 0 {
@@ -92,7 +101,7 @@ func BenchmarkFig07Loss(b *testing.B) {
 
 func BenchmarkFig08RTTFairness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := exp.RunFig8(benchScale, benchSeed)
+		rep := run(b, "fig8")
 		if r := findRow(rep, "100.0"); r >= 0 {
 			b.ReportMetric(cell(rep, r, 1), "pcc_ratio_at_100ms")
 		}
@@ -101,7 +110,7 @@ func BenchmarkFig08RTTFairness(b *testing.B) {
 
 func BenchmarkFig09Buffer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := exp.RunFig9(benchScale, benchSeed)
+		rep := run(b, "fig9")
 		if r := findRow(rep, "9.0"); r >= 0 {
 			b.ReportMetric(cell(rep, r, 1), "pcc_Mbps_at_6MSS")
 		}
@@ -110,7 +119,7 @@ func BenchmarkFig09Buffer(b *testing.B) {
 
 func BenchmarkFig10Incast(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := exp.RunFig10(benchScale, benchSeed)
+		rep := run(b, "fig10")
 		// Mean PCC/TCP ratio across rows with >= 10 senders.
 		var sum float64
 		var n int
@@ -128,7 +137,7 @@ func BenchmarkFig10Incast(b *testing.B) {
 
 func BenchmarkFig11Dynamic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, _ := exp.RunFig11(benchScale, benchSeed)
+		rep := run(b, "fig11")
 		if r := findRow(rep, "pcc"); r >= 0 {
 			b.ReportMetric(cell(rep, r, 2), "pcc_frac_of_optimal")
 		}
@@ -137,7 +146,7 @@ func BenchmarkFig11Dynamic(b *testing.B) {
 
 func BenchmarkFig12Convergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := exp.RunFig12(benchScale, benchSeed)
+		rep := run(b, "fig12")
 		// Mean stddev of the PCC rows (column 3).
 		var sum float64
 		var n int
@@ -155,7 +164,7 @@ func BenchmarkFig12Convergence(b *testing.B) {
 
 func BenchmarkFig13Fairness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := exp.RunFig13(benchScale, benchSeed)
+		rep := run(b, "fig13")
 		if r := findRow(rep, "pcc"); r >= 0 {
 			b.ReportMetric(cell(rep, r, 2), "pcc_jain_1s")
 		}
@@ -164,7 +173,7 @@ func BenchmarkFig13Fairness(b *testing.B) {
 
 func BenchmarkFig14Friendliness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := exp.RunFig14(benchScale, benchSeed)
+		rep := run(b, "fig14")
 		if len(rep.Rows) > 0 {
 			b.ReportMetric(cell(rep, 0, 1), "unfriendliness_1_selfish")
 		}
@@ -173,7 +182,7 @@ func BenchmarkFig14Friendliness(b *testing.B) {
 
 func BenchmarkFig15FCT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := exp.RunFig15(benchScale, benchSeed)
+		rep := run(b, "fig15")
 		// Median FCT at the highest load for both protocols.
 		var pccMed, tcpMed float64
 		for r := range rep.Rows {
@@ -194,7 +203,7 @@ func BenchmarkFig15FCT(b *testing.B) {
 
 func BenchmarkFig16Tradeoff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := exp.RunFig16(benchScale, benchSeed)
+		rep := run(b, "fig16")
 		if r := findRow(rep, "pcc Tm=1.0RTT eps=0.01"); r >= 0 {
 			b.ReportMetric(cell(rep, r, 2), "pcc_stddev_Mbps")
 		}
@@ -203,7 +212,7 @@ func BenchmarkFig16Tradeoff(b *testing.B) {
 
 func BenchmarkFig17Power(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := exp.RunFig17(benchScale, benchSeed)
+		rep := run(b, "fig17")
 		pcc := findRow(rep, "PCC+Bufferbloat+FQ")
 		tcp := findRow(rep, "TCP+Bufferbloat+FQ")
 		if pcc >= 0 && tcp >= 0 && cell(rep, tcp, 3) > 0 {
@@ -214,7 +223,7 @@ func BenchmarkFig17Power(b *testing.B) {
 
 func BenchmarkLossResilient(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := exp.RunLossResilient(benchScale, benchSeed)
+		rep := run(b, "loss50")
 		if r := findRow(rep, "0.50"); r >= 0 {
 			b.ReportMetric(cell(rep, r, 4), "frac_of_achievable_50pct")
 		}
@@ -223,7 +232,7 @@ func BenchmarkLossResilient(b *testing.B) {
 
 func BenchmarkAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := exp.RunAblation(benchScale, benchSeed)
+		rep := run(b, "ablation")
 		if r := findRow(rep, "default (1% loss)"); r >= 0 {
 			b.ReportMetric(cell(rep, r, 1), "default_1pct_Mbps")
 		}
@@ -238,7 +247,7 @@ func BenchmarkFig10IncastSequential(b *testing.B) {
 	exp.SetWorkers(1)
 	defer exp.SetWorkers(0)
 	for i := 0; i < b.N; i++ {
-		exp.RunFig10(benchScale, benchSeed)
+		run(b, "fig10")
 	}
 }
 
@@ -249,7 +258,7 @@ func BenchmarkFig10IncastParallel(b *testing.B) {
 	b.ReportMetric(float64(exp.Workers()), "workers")
 	b.ReportMetric(float64(exp.Shards()), "shards")
 	for i := 0; i < b.N; i++ {
-		exp.RunFig10(benchScale, benchSeed)
+		run(b, "fig10")
 	}
 }
 
@@ -303,10 +312,7 @@ func BenchmarkWAN(b *testing.B) {
 
 func BenchmarkTheoryConvergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := exp.RunTheory(context.Background(), benchScale, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rep := run(b, "theory")
 		ok := 0.0
 		for r := range rep.Rows {
 			if rep.Rows[r][6] == "true" {
@@ -319,10 +325,7 @@ func BenchmarkTheoryConvergence(b *testing.B) {
 
 func BenchmarkParkingLot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := exp.RunParkingLot(context.Background(), benchScale, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rep := run(b, "parklot")
 		// Long-flow share on the 3-hop PCC row: the multi-bottleneck squeeze.
 		if r := findRow(rep, "3"); r >= 0 {
 			b.ReportMetric(cell(rep, r, 2), "pcc_long_3hop_Mbps")
@@ -332,7 +335,7 @@ func BenchmarkParkingLot(b *testing.B) {
 
 func BenchmarkRevPath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := exp.RunRevPath(benchScale, benchSeed)
+		rep := run(b, "revpath")
 		// PCC's fat-link retention under ACK congestion (duplex/solo).
 		if r := findRow(rep, "pcc"); r >= 0 {
 			b.ReportMetric(cell(rep, r, 5), "pcc_fwd_ratio")
@@ -342,7 +345,7 @@ func BenchmarkRevPath(b *testing.B) {
 
 func BenchmarkMixMTU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := exp.RunMixMTU(benchScale, benchSeed)
+		rep := run(b, "mixmtu")
 		// Cross-flow fairness when 512/1400/9000 B packets share the path.
 		if r := findRow(rep, "pcc"); r >= 0 {
 			b.ReportMetric(cell(rep, r, 5), "pcc_jain")

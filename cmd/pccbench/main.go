@@ -40,9 +40,9 @@ var (
 	seed       = flag.Int64("seed", 42, "root RNG seed")
 	par        = flag.Int("par", 0, "worker goroutines per experiment (0 = auto: PCC_PAR env, then GOMAXPROCS; 1 = sequential)")
 	shards     = flag.Int("shards", 0, "max conservative engine shards per trial (0 = auto: PCC_SHARDS env, then 1)")
-	nodes      = flag.Int("nodes", 0, "target node count for generated-topology experiments (0 = auto: PCC_NODES env, then scale-derived)")
-	flows      = flag.Int("flows", 0, "target concurrent flow count for generated-topology experiments (0 = auto: PCC_FLOWS env, then scale-derived)")
-	trialTO    = flag.Duration("trialtimeout", 0, "per-trial watchdog: a trial exceeding this fails typed instead of hanging the run (0 = PCC_TRIAL_TIMEOUT env, then disabled)")
+	nodes      = flag.Int("nodes", 0, "target node count for generated-topology experiments (0 = scale-derived)")
+	flows      = flag.Int("flows", 0, "target concurrent flow count for generated-topology experiments (0 = scale-derived)")
+	trialTO    = flag.Duration("trialtimeout", 0, "per-trial watchdog: a trial exceeding this fails typed instead of hanging the run (0 = disabled)")
 	list       = flag.Bool("list", false, "list experiment ids and exit")
 	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 	memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")

@@ -68,8 +68,8 @@ func TestShardsFlag(t *testing.T) {
 }
 
 // TestTrialTimeoutFlag pins the -trialtimeout → exp.SetTrialTimeout plumbing
-// through the real flag instance, and that resetting the flag restores the
-// default resolution order (PCC_TRIAL_TIMEOUT env, then disabled).
+// through the real flag instance, and that resetting it disables the
+// watchdog.
 func TestTrialTimeoutFlag(t *testing.T) {
 	defer func() {
 		exp.SetTrialTimeout(0)

@@ -6,8 +6,8 @@ import "sync"
 // keyed by experiment-variant, so the hundreds of short trials a Monte-Carlo
 // sweep runs (§4's evaluation is sweeps by construction) reuse their
 // engine, topology, flows, PCC/TCP state and packet pool instead of
-// rebuilding them from scratch every trial. RunTrials/RunPoints hand each
-// worker goroutine one scratch for its whole slice of the sweep (see
+// rebuilding them from scratch every trial. Sweep hands each worker
+// goroutine one scratch for its whole slice of the sweep (see
 // pool.go), so arenas are strictly goroutine-local, like everything else a
 // trial owns.
 //

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"pcc/internal/metrics"
@@ -8,9 +9,9 @@ import (
 	"pcc/internal/sim"
 )
 
-// Fig11Series carries the rate-tracking data behind the Fig. 11 plot:
+// fig11Series carries the rate-tracking data behind the Fig. 11 plot:
 // optimal (available bandwidth) and achieved per-second goodput.
-type Fig11Series struct {
+type fig11Series struct {
 	Optimal  []float64 // Mbps per second
 	Achieved map[string][]float64
 }
@@ -19,7 +20,14 @@ type Fig11Series struct {
 // bandwidth (10–100 Mbps), RTT (10–100 ms) and loss (0–1%) are all redrawn
 // every 5 s. The paper reports PCC at 83% of optimal over 500 s, 14x CUBIC
 // and 5.6x Illinois.
-func RunFig11(scale float64, seed int64) (*Report, *Fig11Series) {
+func RunFig11(ctx context.Context, scale float64, seed int64) (*Report, error) {
+	rep, _, err := runFig11(ctx, scale, seed)
+	return rep, err
+}
+
+// runFig11 is RunFig11 that also returns the per-second series behind the
+// plot.
+func runFig11(ctx context.Context, scale float64, seed int64) (*Report, *fig11Series, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(500, 100, scale)
 	protos := []string{"pcc", "cubic", "illinois"}
@@ -35,7 +43,7 @@ func RunFig11(scale float64, seed int64) (*Report, *Fig11Series) {
 		achieved []float64
 		trace    []netem.Sample
 	}
-	trialOut := RunPointsScratch(len(protos), func(pi int, ts *TrialScratch) fig11Trial {
+	trialOut, err := Sweep(ctx, Workers(), len(protos), nil, func(pi int, ts *TrialScratch) fig11Trial {
 		proto := protos[pi]
 		// Same seed → identical sequence of drawn network conditions for
 		// every protocol.
@@ -48,8 +56,11 @@ func RunFig11(scale float64, seed int64) (*Report, *Fig11Series) {
 		r.Run(dur)
 		return fig11Trial{goodput: f.GoodputMbps(dur), achieved: f.SeriesMbps(), trace: *trace}
 	})
+	if err != nil {
+		return nil, nil, err
+	}
 
-	series := &Fig11Series{Achieved: map[string][]float64{}}
+	series := &fig11Series{Achieved: map[string][]float64{}}
 	results := map[string]float64{}
 	var optMean float64
 	for pi, proto := range protos {
@@ -86,5 +97,5 @@ func RunFig11(scale float64, seed int64) (*Report, *Fig11Series) {
 		rep.Rows = append(rep.Rows, []string{proto, f2(t), f2(t / optMean), ratio})
 	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf("mean available bandwidth %.1f Mbps; paper: PCC 83%% of optimal, 14x CUBIC, 5.6x Illinois", optMean))
-	return rep, series
+	return rep, series, nil
 }

@@ -18,8 +18,7 @@ import (
 // interior link. The figure of merit is the long flow's share relative to
 // its per-hop competitors: RTT-biased loss-based TCP squeezes the long flow
 // hard (it faces drops at every hop and has the longest RTT), while PCC's
-// utility equilibrium keeps it a workable share. Context-aware: a cancelled
-// ctx stops the sweep at the next (hops, proto) trial boundary.
+// utility equilibrium keeps it a workable share.
 func RunParkingLot(ctx context.Context, scale float64, seed int64) (*Report, error) {
 	scale = clampScale(scale)
 	dur := scaledDur(120, 30, scale)
@@ -35,7 +34,7 @@ func RunParkingLot(ctx context.Context, scale float64, seed int64) (*Report, err
 		row   []string
 		notes []string
 	}
-	results, err := RunPointsScratchCtx(ctx, len(hopCounts)*len(protos), func(i int, ts *TrialScratch) plResult {
+	results, err := Sweep(ctx, Workers(), len(hopCounts)*len(protos), nil, func(i int, ts *TrialScratch) plResult {
 		nHops := hopCounts[i/len(protos)]
 		proto := protos[i%len(protos)]
 		ts.Stamp("parklot", proto, TrialSeed(seed, i))

@@ -16,18 +16,21 @@ import (
 // This file is the parallel experiment engine. Every trial of every driver
 // in this package is a self-contained deterministic simulation — it builds
 // its own sim.Engine and derives every RNG stream from the PathSpec seed —
-// so trials are embarrassingly parallel. RunTrials/RunPoints fan a trial
-// function out across a bounded worker pool while keeping results indexed
-// by trial number, which makes the assembled report byte-identical to a
-// sequential run regardless of goroutine scheduling (asserted by
-// determinism_test.go).
+// so trials are embarrassingly parallel. Sweep, the one sweep primitive,
+// fans a trial function out across a bounded worker pool while keeping
+// results indexed by trial number, which makes the assembled report
+// byte-identical to a sequential run regardless of goroutine scheduling
+// (asserted by determinism_test.go). It also owns the sweep's robustness:
+// per-worker TrialScratch arenas, the per-trial watchdog, typed trial
+// failures and context cancellation at trial boundaries.
 //
-// Worker-count resolution, most specific wins:
+// Worker-count resolution for Workers(), most specific wins:
 //
-//  1. the explicit count passed to RunTrialsWith/RunPointsWith,
-//  2. SetWorkers (cmd/pccbench's -par flag),
-//  3. the PCC_PAR environment variable,
-//  4. GOMAXPROCS divided by the shard count.
+//  1. SetWorkers (cmd/pccbench's -par flag),
+//  2. the PCC_PAR environment variable,
+//  3. GOMAXPROCS divided by the shard count.
+//
+// Drivers pass Workers() to Sweep; tests pass explicit counts.
 //
 // Workers and shards are the two parallelism axes — across trials and
 // inside one trial (sim.ShardGroup) — and a sweep uses workers × shards
@@ -41,7 +44,7 @@ var workerOverride atomic.Int64
 // shardOverride holds the SetShards value; 0 means "not set".
 var shardOverride atomic.Int64
 
-// SetWorkers overrides the default worker count for RunTrials/RunPoints.
+// SetWorkers overrides the default worker count drivers pass to Sweep.
 // n <= 0 restores automatic resolution (PCC_PAR, then GOMAXPROCS/Shards).
 func SetWorkers(n int) {
 	if n < 0 {
@@ -50,7 +53,7 @@ func SetWorkers(n int) {
 	workerOverride.Store(int64(n))
 }
 
-// Workers returns the worker count RunTrials will use.
+// Workers returns the worker count drivers pass to Sweep.
 func Workers() int {
 	if n := int(workerOverride.Load()); n > 0 {
 		return n
@@ -98,8 +101,8 @@ var nodeOverride atomic.Int64
 var flowOverride atomic.Int64
 
 // SetNodes overrides the node count generated-topology experiments target
-// (cmd/pccbench's -nodes flag). n <= 0 restores automatic resolution
-// (PCC_NODES, then the experiment's scale-derived default). Generators
+// (cmd/pccbench's -nodes flag). n <= 0 restores the experiment's
+// scale-derived default. Generators
 // round the target to the nearest structurally valid size, so the built
 // topology may differ slightly from the request.
 func SetNodes(n int) {
@@ -112,21 +115,12 @@ func SetNodes(n int) {
 // Nodes returns the node-count override for generated-topology experiments;
 // 0 means "no override, derive from scale".
 func Nodes() int {
-	if n := int(nodeOverride.Load()); n > 0 {
-		return n
-	}
-	if s := os.Getenv("PCC_NODES"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 0
+	return int(nodeOverride.Load())
 }
 
 // SetFlows overrides the concurrent flow count generated-topology
-// experiments target (cmd/pccbench's -flows flag). n <= 0 restores
-// automatic resolution (PCC_FLOWS, then the experiment's scale-derived
-// default).
+// experiments target (cmd/pccbench's -flows flag). n <= 0 restores the
+// experiment's scale-derived default.
 func SetFlows(n int) {
 	if n < 0 {
 		n = 0
@@ -137,15 +131,7 @@ func SetFlows(n int) {
 // Flows returns the flow-count override for generated-topology experiments;
 // 0 means "no override, derive from scale".
 func Flows() int {
-	if n := int(flowOverride.Load()); n > 0 {
-		return n
-	}
-	if s := os.Getenv("PCC_FLOWS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 0
+	return int(flowOverride.Load())
 }
 
 // gcRelax widens the garbage collector's heap-growth target while trials
@@ -203,10 +189,10 @@ func exitGCRelax() {
 var trialTimeoutOverride atomic.Int64
 
 // SetTrialTimeout overrides the per-trial watchdog deadline (cmd/pccbench's
-// -trialtimeout flag, pccserve's -trialtimeout). d <= 0 restores automatic
-// resolution (PCC_TRIAL_TIMEOUT, then disabled). When a deadline is active,
-// every trial runs under a watchdog that converts a hang into a typed
-// *TrialTimeoutError instead of wedging the sweep forever (see runTrial).
+// -trialtimeout flag, pccserve's -trialtimeout). d <= 0 disables the
+// watchdog. When a deadline is active, every trial runs under a watchdog
+// that converts a hang into a typed *TrialTimeoutError instead of wedging
+// the sweep forever (see runTrial).
 func SetTrialTimeout(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -215,22 +201,8 @@ func SetTrialTimeout(d time.Duration) {
 }
 
 // TrialTimeout returns the active per-trial watchdog deadline; 0 means the
-// watchdog is disabled. PCC_TRIAL_TIMEOUT accepts a Go duration ("30s",
-// "2m") or a bare integer number of seconds.
-func TrialTimeout() time.Duration {
-	if n := trialTimeoutOverride.Load(); n > 0 {
-		return time.Duration(n)
-	}
-	if s := os.Getenv("PCC_TRIAL_TIMEOUT"); s != "" {
-		if d, err := time.ParseDuration(s); err == nil && d > 0 {
-			return d
-		}
-		if sec, err := strconv.Atoi(s); err == nil && sec > 0 {
-			return time.Duration(sec) * time.Second
-		}
-	}
-	return 0
-}
+// watchdog is disabled.
+func TrialTimeout() time.Duration { return time.Duration(trialTimeoutOverride.Load()) }
 
 // TrialPanicError wraps a panic that escaped a trial function, carrying
 // enough provenance to replay the failing trial in isolation: the experiment
@@ -252,16 +224,16 @@ type TrialPanicError struct {
 }
 
 func (e *TrialPanicError) Error() string {
-	exp := e.Experiment
-	if exp == "" {
-		exp = "?"
-	}
-	variant := e.Variant
-	if variant == "" {
-		variant = "?"
-	}
 	return fmt.Sprintf("exp: trial %d panicked (experiment %s, variant %s, seed %d, worker %d): %v",
-		e.Trial, exp, variant, e.Seed, e.Worker, e.Value)
+		e.Trial, orUnknown(e.Experiment), orUnknown(e.Variant), e.Seed, e.Worker, e.Value)
+}
+
+// orUnknown renders an unstamped provenance field as "?".
+func orUnknown(s string) string {
+	if s == "" {
+		return "?"
+	}
+	return s
 }
 
 // Unwrap returns the panic payload when it was an error, nil otherwise.
@@ -273,7 +245,7 @@ func (e *TrialPanicError) Unwrap() error {
 }
 
 // TrialTimeoutError reports a trial that exceeded the per-trial watchdog
-// deadline (SetTrialTimeout / PCC_TRIAL_TIMEOUT / pccbench -trialtimeout).
+// deadline (SetTrialTimeout / pccbench and pccserve -trialtimeout).
 // It carries the same provenance fields as TrialPanicError, so a hang is as
 // replayable as a crash. Go cannot kill the hung goroutine: it is abandoned
 // together with its trial arena and the sweep aborts, which fails the sweep
@@ -288,22 +260,14 @@ type TrialTimeoutError struct {
 }
 
 func (e *TrialTimeoutError) Error() string {
-	exp := e.Experiment
-	if exp == "" {
-		exp = "?"
-	}
-	variant := e.Variant
-	if variant == "" {
-		variant = "?"
-	}
 	return fmt.Sprintf("exp: trial %d timed out after %v (experiment %s, variant %s, seed %d, worker %d)",
-		e.Trial, e.Timeout, exp, variant, e.Seed, e.Worker)
+		e.Trial, e.Timeout, orUnknown(e.Experiment), orUnknown(e.Variant), e.Seed, e.Worker)
 }
 
 // SweepCancelledError reports a sweep that stopped scheduling at a trial
 // boundary because its context was cancelled (client disconnect, server
 // deadline, SIGTERM drain). In-flight trials finish before the sweep
-// returns, so the Completed slots of the caller's result slice hold valid
+// returns, so the Completed slots of Sweep's result slice hold valid
 // partial results; the remaining slots were never started. Err is the
 // context's cause and is exposed through Unwrap, so
 // errors.Is(err, context.Canceled) works.
@@ -319,51 +283,24 @@ func (e *SweepCancelledError) Error() string {
 
 func (e *SweepCancelledError) Unwrap() error { return e.Err }
 
-// runTrialGuarded runs one trial and converts any escaping panic into a
-// *TrialPanicError stamped with the scratch's provenance fields, re-raised
-// as a panic so both the sequential path and the worker-pool recovery see
-// the same typed value. An already-typed panic passes through untouched
-// (nested pools must not double-wrap).
-func runTrialGuarded(fn func(trial int, ts *TrialScratch), trial, worker int, ts *TrialScratch) {
+// guardTrial runs one trial and converts any escaping panic into a returned
+// *TrialPanicError stamped with the scratch's provenance fields.
+func guardTrial(fn func(trial int, ts *TrialScratch), trial, worker int, ts *TrialScratch) (err error) {
 	defer func() {
-		r := recover()
-		if r == nil {
-			return
+		if r := recover(); r != nil {
+			prov := ts.Provenance()
+			err = &TrialPanicError{
+				Experiment: prov.Exp,
+				Variant:    prov.Variant,
+				Seed:       prov.Seed,
+				Trial:      trial,
+				Worker:     worker,
+				Value:      r,
+				Stack:      debug.Stack(),
+			}
 		}
-		switch r.(type) {
-		case *TrialPanicError, *TrialTimeoutError:
-			panic(r)
-		}
-		prov := ts.Provenance()
-		panic(&TrialPanicError{
-			Experiment: prov.Exp,
-			Variant:    prov.Variant,
-			Seed:       prov.Seed,
-			Trial:      trial,
-			Worker:     worker,
-			Value:      r,
-			Stack:      debug.Stack(),
-		})
 	}()
 	fn(trial, ts)
-}
-
-// catchTrialPanic runs one guarded trial and converts the typed panic the
-// guard raises into a returned error, so the pool can abort a sweep with an
-// error instead of unwinding worker goroutines.
-func catchTrialPanic(fn func(trial int, ts *TrialScratch), trial, worker int, ts *TrialScratch) (err error) {
-	defer func() {
-		switch r := recover().(type) {
-		case nil:
-		case *TrialPanicError:
-			err = r
-		case *TrialTimeoutError:
-			err = r
-		default:
-			panic(r) // unreachable: runTrialGuarded types every panic
-		}
-	}()
-	runTrialGuarded(fn, trial, worker, ts)
 	return nil
 }
 
@@ -371,20 +308,20 @@ func catchTrialPanic(fn func(trial int, ts *TrialScratch), trial, worker int, ts
 // error: *TrialPanicError if the trial panicked, *TrialTimeoutError if the
 // watchdog deadline (timeout > 0) elapsed first, nil on success. When the
 // watchdog is armed the trial runs on its own goroutine so the deadline can
-// fire while it is stuck; scratchLost reports that this goroutine was
-// abandoned still owning ts (the timeout path), in which case the caller
-// must neither reuse nor recycle that arena.
-func runTrial(fn func(trial int, ts *TrialScratch), trial, worker int, ts *TrialScratch, timeout time.Duration) (trialErr error, scratchLost bool) {
+// fire while it is stuck; a timed-out goroutine is abandoned still owning
+// ts, so the caller must neither reuse nor recycle that arena after any
+// error.
+func runTrial(fn func(trial int, ts *TrialScratch), trial, worker int, ts *TrialScratch, timeout time.Duration) error {
 	if timeout <= 0 {
-		return catchTrialPanic(fn, trial, worker, ts), false
+		return guardTrial(fn, trial, worker, ts)
 	}
 	done := make(chan error, 1) // buffered: a post-deadline finish must not leak the goroutine
-	go func() { done <- catchTrialPanic(fn, trial, worker, ts) }()
+	go func() { done <- guardTrial(fn, trial, worker, ts) }()
 	watchdog := time.NewTimer(timeout)
 	defer watchdog.Stop()
 	select {
 	case err := <-done:
-		return err, false
+		return err
 	case <-watchdog.C:
 		prov := ts.Provenance()
 		return &TrialTimeoutError{
@@ -394,7 +331,7 @@ func runTrial(fn func(trial int, ts *TrialScratch), trial, worker int, ts *Trial
 			Trial:      trial,
 			Worker:     worker,
 			Timeout:    timeout,
-		}, true
+		}
 	}
 }
 
@@ -412,85 +349,65 @@ var scratchPool = sync.Pool{New: func() any { return new(TrialScratch) }}
 func acquireScratch() *TrialScratch   { return scratchPool.Get().(*TrialScratch) }
 func releaseScratch(ts *TrialScratch) { scratchPool.Put(ts) }
 
-// RunTrials runs fn(trial) for every trial in [0, n) across the default
-// number of workers. fn must be self-contained: it builds its own Runner
-// (and therefore its own engine, RNGs and packet pool) from a seed derived
-// from the trial index, and writes any result into a slot owned by that
-// index. Calls may execute on different goroutines in any order; RunTrials
-// returns after all complete. A panic in any trial is wrapped in a
-// *TrialPanicError and re-raised on the caller's goroutine, matching
-// sequential behaviour; a watchdog timeout is re-raised as a
-// *TrialTimeoutError the same way.
-func RunTrials(n int, fn func(trial int)) { RunTrialsWith(Workers(), n, fn) }
-
-// RunTrialsWith is RunTrials with an explicit worker count (1 = sequential,
-// in trial order, on the calling goroutine).
-func RunTrialsWith(workers, n int, fn func(trial int)) {
-	RunTrialsScratchWith(workers, n, func(i int, _ *TrialScratch) { fn(i) })
-}
-
-// RunTrialsCtx is RunTrials with cancellation: the sweep stops scheduling
-// at the next trial boundary once ctx is cancelled (in-flight trials
-// finish) and returns a *SweepCancelledError recording how many trials
-// completed. Trial panics and watchdog timeouts are returned as typed
-// errors instead of re-raised.
-func RunTrialsCtx(ctx context.Context, n int, fn func(trial int)) error {
-	return RunTrialsCtxWith(ctx, Workers(), n, fn)
-}
-
-// RunTrialsCtxWith is RunTrialsCtx with an explicit worker count.
-func RunTrialsCtxWith(ctx context.Context, workers, n int, fn func(trial int)) error {
-	return RunTrialsScratchCtxWith(ctx, workers, n, func(i int, _ *TrialScratch) { fn(i) })
-}
-
-// RunTrialsScratch is RunTrials for trial functions that build their
-// runners through a TrialScratch arena: each worker goroutine owns one
-// scratch for its whole slice of the sweep, so consecutive trials on a
-// worker reuse fully built simulation state (see arena.go). The scratch
-// reaches only one trial at a time; results remain byte-identical at any
-// worker count because arena reuse is placement-policy only.
-func RunTrialsScratch(n int, fn func(trial int, ts *TrialScratch)) {
-	RunTrialsScratchWith(Workers(), n, fn)
-}
-
-// RunTrialsScratchWith is RunTrialsScratch with an explicit worker count
-// (1 = sequential, in trial order, on the calling goroutine, with a single
-// scratch serving every trial).
-func RunTrialsScratchWith(workers, n int, fn func(trial int, ts *TrialScratch)) {
-	if err := RunTrialsScratchCtxWith(context.Background(), workers, n, fn); err != nil {
-		// Background never cancels, so err is a typed trial failure; re-raise
-		// it to preserve the legacy panic contract of the non-ctx API.
-		panic(err)
+// cancelled builds the *SweepCancelledError for a context that stopped a
+// sweep after completed of total trials, carrying the context's cause.
+func cancelled(ctx context.Context, completed, total int) error {
+	err := context.Cause(ctx)
+	if err == nil {
+		err = ctx.Err()
 	}
+	return &SweepCancelledError{Completed: completed, Total: total, Err: err}
 }
 
-// RunTrialsScratchCtx is RunTrialsScratch with cancellation (see
-// RunTrialsCtx).
-func RunTrialsScratchCtx(ctx context.Context, n int, fn func(trial int, ts *TrialScratch)) error {
-	return RunTrialsScratchCtxWith(ctx, Workers(), n, fn)
+// Sweep runs fn(i, ts) for every point i in [0, n) across workers
+// goroutines (1 = sequential, on the calling goroutine) and returns the
+// results in index order: out[i] == fn(i, ts) no matter which worker
+// computed it. This is the one sweep primitive of the drivers: a figure's
+// grid is flattened into n points, computed concurrently, and reassembled
+// into rows sequentially, so row order and floating-point aggregation order
+// never change.
+//
+// fn must be self-contained: it builds its runners through ts, the calling
+// worker's TrialScratch arena, from a seed derived from i. Each worker owns
+// one scratch for its whole slice of the sweep, so consecutive points on a
+// worker reuse fully built simulation state (see arena.go); arena reuse is
+// placement policy only, so results stay byte-identical at any worker
+// count.
+//
+// A nil order runs points in index order. Otherwise order must be a
+// permutation of [0, n): workers claim its positions front to back and run
+// fn(order[k]). Drivers use it to run a sweep's largest shapes first (see
+// descendingBy), so each arena grows to its high-water mark on its first
+// trials and every smaller shape rebuilds warm.
+//
+// The context is consulted only at trial boundaries — a trial that has
+// started always runs to completion (or to its watchdog deadline) — so
+// cancellation never tears a simulation down mid-event. Sweep returns a nil
+// error when all n points completed, a *SweepCancelledError when ctx
+// stopped the sweep first, or the *TrialPanicError/*TrialTimeoutError of
+// the first failing trial, which also aborts the sweep. On error the slice
+// still holds every completed point (the partial results a serving layer
+// can stream); unstarted slots are zero values.
+func Sweep[T any](ctx context.Context, workers, n int, order []int, fn func(i int, ts *TrialScratch) T) ([]T, error) {
+	out := make([]T, n)
+	err := sweep(ctx, workers, n, order, func(i int, ts *TrialScratch) { out[i] = fn(i, ts) })
+	return out, err
 }
 
-// RunTrialsScratchCtxWith is the engine beneath every RunTrials/RunPoints
-// variant. The context is consulted only at trial boundaries — a trial that
-// has started always runs to completion (or to its watchdog deadline) — so
-// cancellation can never tear a simulation down mid-event. It returns nil
-// when all n trials completed, a *SweepCancelledError when ctx stopped the
-// sweep first, or the typed *TrialPanicError/*TrialTimeoutError of the
-// first failing trial (which also aborts the sweep).
-func RunTrialsScratchCtxWith(ctx context.Context, workers, n int, fn func(trial int, ts *TrialScratch)) error {
+// sweep is Sweep's engine, shared by every result type.
+func sweep(ctx context.Context, workers, n int, order []int, fn func(i int, ts *TrialScratch)) error {
 	if n <= 0 {
 		return nil
 	}
-	done := ctx.Done()
-	cancelled := func(completed int) error {
-		err := context.Cause(ctx)
-		if err == nil {
-			err = ctx.Err()
+	point := func(k int) int {
+		if order != nil {
+			return order[k]
 		}
-		return &SweepCancelledError{Completed: completed, Total: n, Err: err}
+		return k
 	}
+	done := ctx.Done()
 	if done != nil && ctx.Err() != nil {
-		return cancelled(0)
+		return cancelled(ctx, 0, n)
 	}
 	enterGCRelax()
 	defer exitGCRelax()
@@ -500,12 +417,12 @@ func RunTrialsScratchCtxWith(ctx context.Context, workers, n int, fn func(trial 
 	}
 	if workers <= 1 {
 		ts := acquireScratch()
-		for i := 0; i < n; i++ {
+		for k := 0; k < n; k++ {
 			if done != nil && ctx.Err() != nil {
 				releaseScratch(ts)
-				return cancelled(i)
+				return cancelled(ctx, k, n)
 			}
-			if err, _ := runTrial(fn, i, 0, ts, timeout); err != nil {
+			if err := runTrial(fn, point(k), 0, ts, timeout); err != nil {
 				// Drop the arena: panicked trials may leave cached runners
 				// mid-build, timed-out trials still own theirs.
 				return err
@@ -524,7 +441,6 @@ func RunTrialsScratchCtxWith(ctx context.Context, workers, n int, fn func(trial 
 	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		w := w
 		go func() {
 			defer wg.Done()
 			ts := acquireScratch()
@@ -545,11 +461,11 @@ func RunTrialsScratchCtxWith(ctx context.Context, workers, n int, fn func(trial 
 					default:
 					}
 				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				k := int(next.Add(1)) - 1
+				if k >= n {
 					return
 				}
-				if err, _ := runTrial(fn, i, w, ts, timeout); err != nil {
+				if err := runTrial(fn, point(k), w, ts, timeout); err != nil {
 					// Abort the sweep: workers stop claiming trials, so the
 					// failure surfaces without first burning through the rest
 					// of the grid. The arena is dropped, not recycled.
@@ -571,100 +487,9 @@ func RunTrialsScratchCtxWith(ctx context.Context, workers, n int, fn func(trial 
 		return firstErr
 	}
 	if c := int(completed.Load()); c < n {
-		return cancelled(c)
+		return cancelled(ctx, c, n)
 	}
 	return nil
-}
-
-// RunPoints runs fn over [0, n) in parallel and returns the results in
-// index order: out[i] == fn(i) no matter which worker computed it. This is
-// the workhorse of the drivers: a figure's sweep grid is flattened into
-// n points, computed concurrently, and reassembled into rows sequentially
-// so row order and floating-point aggregation order never change.
-func RunPoints[T any](n int, fn func(point int) T) []T {
-	return RunPointsWith[T](Workers(), n, fn)
-}
-
-// RunPointsWith is RunPoints with an explicit worker count.
-func RunPointsWith[T any](workers, n int, fn func(point int) T) []T {
-	out := make([]T, n)
-	RunTrialsWith(workers, n, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// RunPointsCtx is RunPoints with cancellation. On a non-nil error the
-// returned slice still holds every completed point (the partial results a
-// serving layer can stream); unstarted slots are zero values.
-func RunPointsCtx[T any](ctx context.Context, n int, fn func(point int) T) ([]T, error) {
-	return RunPointsCtxWith[T](ctx, Workers(), n, fn)
-}
-
-// RunPointsCtxWith is RunPointsCtx with an explicit worker count.
-func RunPointsCtxWith[T any](ctx context.Context, workers, n int, fn func(point int) T) ([]T, error) {
-	out := make([]T, n)
-	err := RunTrialsCtxWith(ctx, workers, n, func(i int) { out[i] = fn(i) })
-	return out, err
-}
-
-// RunPointsScratch is RunPoints for point functions that build their
-// runners through a per-worker TrialScratch arena (see RunTrialsScratch).
-func RunPointsScratch[T any](n int, fn func(point int, ts *TrialScratch) T) []T {
-	return RunPointsScratchWith[T](Workers(), n, fn)
-}
-
-// RunPointsScratchWith is RunPointsScratch with an explicit worker count.
-func RunPointsScratchWith[T any](workers, n int, fn func(point int, ts *TrialScratch) T) []T {
-	out := make([]T, n)
-	RunTrialsScratchWith(workers, n, func(i int, ts *TrialScratch) { out[i] = fn(i, ts) })
-	return out
-}
-
-// RunPointsScratchCtx is RunPointsScratch with cancellation (see
-// RunPointsCtx for the partial-result contract).
-func RunPointsScratchCtx[T any](ctx context.Context, n int, fn func(point int, ts *TrialScratch) T) ([]T, error) {
-	return RunPointsScratchCtxWith[T](ctx, Workers(), n, fn)
-}
-
-// RunPointsScratchCtxWith is RunPointsScratchCtx with an explicit worker
-// count.
-func RunPointsScratchCtxWith[T any](ctx context.Context, workers, n int, fn func(point int, ts *TrialScratch) T) ([]T, error) {
-	out := make([]T, n)
-	err := RunTrialsScratchCtxWith(ctx, workers, n, func(i int, ts *TrialScratch) { out[i] = fn(i, ts) })
-	return out, err
-}
-
-// RunTrialsScratchOrdered is RunTrialsScratch with an explicit execution
-// order: workers claim positions of order front to back and run
-// fn(order[k]). order must be a permutation of [0, len(order)). Because
-// every trial is self-contained and results are written to slots owned by
-// the trial index, execution order is placement policy only — reports stay
-// byte-identical under any permutation. Drivers use it to run a sweep's
-// largest shapes first, so each worker's arena grows to its high-water mark
-// on its first trials and every later, smaller shape rebuilds warm (a
-// smallest-first grid instead re-grows windows and flow pools at each step
-// up).
-func RunTrialsScratchOrdered(order []int, fn func(trial int, ts *TrialScratch)) {
-	RunTrialsScratchWith(Workers(), len(order), func(k int, ts *TrialScratch) { fn(order[k], ts) })
-}
-
-// RunTrialsScratchOrderedCtx is RunTrialsScratchOrdered with cancellation.
-func RunTrialsScratchOrderedCtx(ctx context.Context, order []int, fn func(trial int, ts *TrialScratch)) error {
-	return RunTrialsScratchCtxWith(ctx, Workers(), len(order), func(k int, ts *TrialScratch) { fn(order[k], ts) })
-}
-
-// RunPointsScratchOrdered is RunPointsScratch with an explicit execution
-// order (see RunTrialsScratchOrdered); out[i] still holds fn(i).
-func RunPointsScratchOrdered[T any](order []int, fn func(point int, ts *TrialScratch) T) []T {
-	out := make([]T, len(order))
-	RunTrialsScratchOrdered(order, func(i int, ts *TrialScratch) { out[i] = fn(i, ts) })
-	return out
-}
-
-// RunPointsScratchOrderedCtx is RunPointsScratchOrdered with cancellation.
-func RunPointsScratchOrderedCtx[T any](ctx context.Context, order []int, fn func(point int, ts *TrialScratch) T) ([]T, error) {
-	out := make([]T, len(order))
-	err := RunTrialsScratchOrderedCtx(ctx, order, func(i int, ts *TrialScratch) { out[i] = fn(i, ts) })
-	return out, err
 }
 
 // descendingBy returns a permutation of [0, n) that is stable-sorted by

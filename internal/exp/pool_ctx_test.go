@@ -6,6 +6,7 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -29,18 +30,18 @@ func waitGoroutinesSettle(t *testing.T, want int) {
 	}
 }
 
-// TestRunTrialsCtxCancelledMidSweep checks the core cancellation contract:
+// TestSweepCtxCancelledMidSweep checks the core cancellation contract:
 // cancelling the context stops scheduling at the next trial boundary,
-// in-flight trials complete, the pool returns a typed *SweepCancelledError
+// in-flight trials complete, Sweep returns a typed *SweepCancelledError
 // whose Completed count matches the trials that actually ran, and the
 // completed slots hold valid partial results.
-func TestRunTrialsCtxCancelledMidSweep(t *testing.T) {
+func TestSweepCtxCancelledMidSweep(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		const n = 1000
 		release := make(chan struct{})
 		cancelAfter := 5
-		out, err := RunPointsScratchCtxWith(ctx, workers, n, func(i int, ts *TrialScratch) int {
+		out, err := Sweep(ctx, workers, n, nil, func(i int, ts *TrialScratch) int {
 			if i == cancelAfter {
 				cancel()
 				close(release)
@@ -84,13 +85,13 @@ func TestRunTrialsCtxCancelledMidSweep(t *testing.T) {
 	}
 }
 
-// TestRunTrialsCtxCompletesDespiteLateCancel: a context cancelled only after
+// TestSweepCtxCompletesDespiteLateCancel: a context cancelled only after
 // every trial has been claimed must not turn a fully completed sweep into an
 // error.
-func TestRunTrialsCtxCompletesDespiteLateCancel(t *testing.T) {
+func TestSweepCtxCompletesDespiteLateCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	out, err := RunPointsCtx(ctx, 8, func(i int) int { return i * i })
+	out, err := Sweep(ctx, Workers(), 8, nil, func(i int, _ *TrialScratch) int { return i * i })
 	if err != nil {
 		t.Fatalf("uncancelled sweep returned %v", err)
 	}
@@ -101,12 +102,12 @@ func TestRunTrialsCtxCompletesDespiteLateCancel(t *testing.T) {
 	}
 }
 
-// TestRunTrialsCtxPreCancelled: an already-dead context runs zero trials.
-func TestRunTrialsCtxPreCancelled(t *testing.T) {
+// TestSweepCtxPreCancelled: an already-dead context runs zero trials.
+func TestSweepCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	err := RunTrialsCtx(ctx, 10, func(int) { ran = true })
+	_, err := Sweep(ctx, Workers(), 10, nil, func(int, *TrialScratch) bool { ran = true; return ran })
 	var sc *SweepCancelledError
 	if !errors.As(err, &sc) || sc.Completed != 0 {
 		t.Fatalf("err = %v, want *SweepCancelledError with 0 completed", err)
@@ -116,16 +117,17 @@ func TestRunTrialsCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// TestRunTrialsCtxNoGoroutineLeak: a cancelled parallel sweep must wind all
+// TestSweepCtxNoGoroutineLeak: a cancelled parallel sweep must wind all
 // its worker goroutines down before returning.
-func TestRunTrialsCtxNoGoroutineLeak(t *testing.T) {
+func TestSweepCtxNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for round := 0; round < 5; round++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		_ = RunTrialsCtxWith(ctx, 8, 64, func(i int) {
+		_, _ = Sweep(ctx, 8, 64, nil, func(i int, _ *TrialScratch) int {
 			if i == 3 {
 				cancel()
 			}
+			return i
 		})
 		cancel()
 	}
@@ -142,12 +144,13 @@ func TestTrialWatchdogTimeout(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		release := make(chan struct{})
 		SetTrialTimeout(50 * time.Millisecond)
-		err := RunTrialsScratchCtxWith(context.Background(), workers, 8,
-			func(i int, ts *TrialScratch) {
+		_, err := Sweep(context.Background(), workers, 8, nil,
+			func(i int, ts *TrialScratch) int {
 				ts.Stamp("hangexp", "pcc", TrialSeed(99, i))
 				if i == 2 {
 					<-release // a hang the trial will never escape on its own
 				}
+				return i
 			})
 		SetTrialTimeout(0)
 		var tt *TrialTimeoutError
@@ -168,7 +171,7 @@ func TestTrialWatchdogTimeout(t *testing.T) {
 		close(release)
 
 		// The pool must still be fully usable after a timeout abort.
-		out := RunPointsWith(workers, 4, func(i int) int { return i })
+		out := points(t, workers, 4, func(i int) int { return i })
 		for i, v := range out {
 			if v != i {
 				t.Fatalf("workers=%d: pool broken after timeout: out[%d] = %d", workers, i, v)
@@ -177,27 +180,47 @@ func TestTrialWatchdogTimeout(t *testing.T) {
 	}
 }
 
-// TestTrialTimeoutKnobResolution pins the watchdog knob's resolution order:
-// SetTrialTimeout wins, then PCC_TRIAL_TIMEOUT (duration or bare seconds),
-// then disabled.
+// TestTrialTimeoutKnobResolution pins the watchdog knob: SetTrialTimeout
+// sets the deadline, and zero or a negative duration disables it.
 func TestTrialTimeoutKnobResolution(t *testing.T) {
 	defer SetTrialTimeout(0)
 	SetTrialTimeout(3 * time.Second)
 	if got := TrialTimeout(); got != 3*time.Second {
 		t.Errorf("after SetTrialTimeout(3s), TrialTimeout() = %v", got)
 	}
-	SetTrialTimeout(0)
-	t.Setenv("PCC_TRIAL_TIMEOUT", "250ms")
-	if got := TrialTimeout(); got != 250*time.Millisecond {
-		t.Errorf("PCC_TRIAL_TIMEOUT=250ms, TrialTimeout() = %v", got)
-	}
-	t.Setenv("PCC_TRIAL_TIMEOUT", "45")
-	if got := TrialTimeout(); got != 45*time.Second {
-		t.Errorf("PCC_TRIAL_TIMEOUT=45, TrialTimeout() = %v (bare ints are seconds)", got)
-	}
-	t.Setenv("PCC_TRIAL_TIMEOUT", "nonsense")
+	SetTrialTimeout(-time.Second)
 	if got := TrialTimeout(); got != 0 {
-		t.Errorf("PCC_TRIAL_TIMEOUT=nonsense, TrialTimeout() = %v, want 0", got)
+		t.Errorf("after SetTrialTimeout(-1s), TrialTimeout() = %v, want 0", got)
+	}
+}
+
+// TestRunKnobsIgnoreEnv: the knobs that change what a run computes or how
+// it fails are set only through their Set* functions (the binaries' flags),
+// never read from the environment, so nothing outside pccserve's cache key
+// can change a served report.
+func TestRunKnobsIgnoreEnv(t *testing.T) {
+	var want *Report
+	if !testing.Short() {
+		var err error
+		if want, err = Run("wan", 0.01, 42); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Setenv("PCC_NODES", "300")
+	t.Setenv("PCC_FLOWS", "900")
+	t.Setenv("PCC_TRIAL_TIMEOUT", "5s")
+	if n, f, d := Nodes(), Flows(), TrialTimeout(); n != 0 || f != 0 || d != 0 {
+		t.Errorf("with PCC_NODES/PCC_FLOWS/PCC_TRIAL_TIMEOUT set: Nodes()=%d Flows()=%d TrialTimeout()=%v, want 0 0 0", n, f, d)
+	}
+	if want == nil {
+		return
+	}
+	got, err := Run("wan", 0.01, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("wan report changed under PCC_NODES/PCC_FLOWS:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -207,13 +230,11 @@ func TestTrialTimeoutKnobResolution(t *testing.T) {
 // server's error ledger long after the goroutine is gone.
 func TestTrialPanicCapturesStack(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		tpe := recoverTrialPanic(t, func() {
-			RunTrialsScratchWith(workers, 4, func(i int, ts *TrialScratch) {
-				ts.Stamp("stackexp", "x", TrialSeed(1, i))
-				if i%2 == 1 {
-					explodeForStackTest()
-				}
-			})
+		tpe := sweepTrialPanic(t, workers, 4, func(i int, ts *TrialScratch) {
+			ts.Stamp("stackexp", "x", TrialSeed(1, i))
+			if i%2 == 1 {
+				explodeForStackTest()
+			}
 		})
 		if len(tpe.Stack) == 0 {
 			t.Fatalf("workers=%d: no stack captured", workers)
@@ -230,9 +251,12 @@ func explodeForStackTest() {
 	panic("boom for stack capture")
 }
 
-// TestRunCtxTheoryCancels exercises a ctx-native driver end to end: RunCtx
-// on "theory" with an expired deadline must come back with a typed
-// cancellation, while a live context produces the full report.
+// TestRunCtxTheoryCancels exercises cancellation through RunCtx end to
+// end. On "theory", an expired context must come back with a typed
+// cancellation while a live one produces the full report. Every registered
+// driver threads its context into its sweep, so a context cancelled just
+// after the RunCtx boundary stops the driver before its grid is done, with
+// (nil, *SweepCancelledError) rather than a report.
 func TestRunCtxTheoryCancels(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -248,4 +272,44 @@ func TestRunCtxTheoryCancels(t *testing.T) {
 	if !strings.Contains(rep.String(), "Theorem") {
 		t.Error("theory report lost its title")
 	}
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) {
+			rep, err := RunCtx(newBoundaryCtx(), id, 0.01, 42)
+			var sc *SweepCancelledError
+			if rep != nil || !errors.As(err, &sc) {
+				t.Fatalf("RunCtx = (%v, %v), want (nil, *SweepCancelledError)", rep != nil, err)
+			}
+			if sc.Completed >= sc.Total {
+				t.Errorf("completed %d/%d trials, want the sweep stopped early", sc.Completed, sc.Total)
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("errors.Is(err, context.Canceled) = false for %v", err)
+			}
+		})
+	}
+}
+
+// boundaryCtx is a context that is live for its first Err check (RunCtx's
+// boundary) and cancelled from the next check on. Its Done channel is
+// closed from the start, so pooled workers polling it see the cancellation
+// as well.
+type boundaryCtx struct {
+	context.Context
+	checks atomic.Int32
+	done   chan struct{}
+}
+
+func newBoundaryCtx() *boundaryCtx {
+	c := &boundaryCtx{Context: context.Background(), done: make(chan struct{})}
+	close(c.done)
+	return c
+}
+
+func (c *boundaryCtx) Done() <-chan struct{} { return c.done }
+
+func (c *boundaryCtx) Err() error {
+	if c.checks.Add(1) == 1 {
+		return nil
+	}
+	return context.Canceled
 }

@@ -1,28 +1,24 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
 
-// recoverTrialPanic runs f and returns the *TrialPanicError it panics with,
-// failing the test if f panics with anything else or not at all.
-func recoverTrialPanic(t *testing.T, f func()) *TrialPanicError {
+// sweepTrialPanic runs a sweep of n trials of fn on workers goroutines and
+// returns the *TrialPanicError it fails with, failing the test if it fails
+// with anything else or not at all.
+func sweepTrialPanic(t *testing.T, workers, n int, fn func(i int, ts *TrialScratch)) *TrialPanicError {
 	t.Helper()
+	_, err := Sweep(context.Background(), workers, n, nil, func(i int, ts *TrialScratch) bool {
+		fn(i, ts)
+		return true
+	})
 	var tpe *TrialPanicError
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("trial panic was swallowed")
-			}
-			var ok bool
-			if tpe, ok = r.(*TrialPanicError); !ok {
-				t.Fatalf("re-raised panic is %T (%v), want *TrialPanicError", r, r)
-			}
-		}()
-		f()
-	}()
+	if !errors.As(err, &tpe) {
+		t.Fatalf("sweep error is %T (%v), want *TrialPanicError", err, err)
+	}
 	return tpe
 }
 
@@ -32,14 +28,12 @@ func recoverTrialPanic(t *testing.T, f func()) *TrialPanicError {
 func TestTrialPanicWrappedSequential(t *testing.T) {
 	ran := 0
 	boom := errors.New("queue invariant violated")
-	tpe := recoverTrialPanic(t, func() {
-		RunTrialsScratchWith(1, 5, func(i int, ts *TrialScratch) {
-			ts.Stamp("linkflap", "pcc", TrialSeed(42, i))
-			ran++
-			if i == 2 {
-				panic(boom)
-			}
-		})
+	tpe := sweepTrialPanic(t, 1, 5, func(i int, ts *TrialScratch) {
+		ts.Stamp("linkflap", "pcc", TrialSeed(42, i))
+		ran++
+		if i == 2 {
+			panic(boom)
+		}
 	})
 	if ran != 3 {
 		t.Errorf("ran %d trials before the panic, want 3", ran)
@@ -56,16 +50,14 @@ func TestTrialPanicWrappedSequential(t *testing.T) {
 }
 
 // TestTrialPanicWrappedParallel checks the worker-pool path: the panic
-// aborts the sweep and the first one re-raised is typed, without
+// aborts the sweep and the first one returned is typed, without
 // double-wrapping on its way through the worker recovery.
 func TestTrialPanicWrappedParallel(t *testing.T) {
-	tpe := recoverTrialPanic(t, func() {
-		RunTrialsScratchWith(4, 64, func(i int, ts *TrialScratch) {
-			ts.Stamp("partition", "cubic", TrialSeed(7, i))
-			if i%3 == 1 {
-				panic("non-error payload")
-			}
-		})
+	tpe := sweepTrialPanic(t, 4, 64, func(i int, ts *TrialScratch) {
+		ts.Stamp("partition", "cubic", TrialSeed(7, i))
+		if i%3 == 1 {
+			panic("non-error payload")
+		}
 	})
 	if tpe.Experiment != "partition" || tpe.Variant != "cubic" {
 		t.Errorf("provenance = %+v, want experiment partition, variant cubic", tpe)

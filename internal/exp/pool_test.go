@@ -1,39 +1,66 @@
 package exp
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
 
 	"pcc/internal/netem"
 )
 
-func TestRunPointsOrder(t *testing.T) {
+// points runs fn over [0, n) through Sweep under a live context and fails
+// the test on any sweep error.
+func points[T any](t testing.TB, workers, n int, fn func(i int) T) []T {
+	t.Helper()
+	out, err := Sweep(context.Background(), workers, n, nil, func(i int, _ *TrialScratch) T { return fn(i) })
+	if err != nil {
+		t.Fatalf("Sweep(workers=%d, n=%d): %v", workers, n, err)
+	}
+	return out
+}
+
+func TestSweepOrder(t *testing.T) {
 	t.Parallel()
 	for _, workers := range []int{1, 2, 7, 32} {
-		out := RunPointsWith(workers, 100, func(i int) int { return i * i })
+		out := points(t, workers, 100, func(i int) int { return i * i })
 		for i, v := range out {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
 			}
 		}
 	}
-	if got := RunPointsWith(4, 0, func(i int) int { return i }); len(got) != 0 {
+	if got := points(t, 4, 0, func(i int) int { return i }); len(got) != 0 {
 		t.Fatalf("n=0 returned %d results", len(got))
+	}
+	// An explicit order changes only which worker runs what when, never
+	// where a result lands.
+	order := descendingBy(50, func(i int) int { return i % 7 })
+	for _, workers := range []int{1, 4} {
+		out, err := Sweep(context.Background(), workers, len(order), order, func(i int, _ *TrialScratch) int { return i * i })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range out {
+			if v != i*i {
+				t.Fatalf("ordered, workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
+			}
+		}
 	}
 }
 
-func TestRunTrialsPanicPropagates(t *testing.T) {
+func TestSweepPanicPropagates(t *testing.T) {
 	t.Parallel()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("panic in a trial must reach the caller, as in sequential execution")
-		}
-	}()
-	RunTrialsWith(4, 16, func(i int) {
+	_, err := Sweep(context.Background(), 4, 16, nil, func(i int, _ *TrialScratch) int {
 		if i == 11 {
 			panic("boom")
 		}
+		return i
 	})
+	var tpe *TrialPanicError
+	if !errors.As(err, &tpe) || tpe.Trial != 11 {
+		t.Fatalf("err = %v, want the *TrialPanicError of trial 11", err)
+	}
 }
 
 func TestWorkersResolution(t *testing.T) {
@@ -87,9 +114,9 @@ func TestPoolStressTinyTrials(t *testing.T) {
 	if testing.Short() {
 		trials = 32
 	}
-	want := RunPointsWith(1, trials, stressTrial)
+	want := points(t, 1, trials, stressTrial)
 	for _, workers := range []int{4, 16} {
-		got := RunPointsWith(workers, trials, stressTrial)
+		got := points(t, workers, trials, stressTrial)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d trial %d: got %v, want %v (parallel run diverged)", workers, i, got[i], want[i])
@@ -110,7 +137,11 @@ func TestPoolConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out := RunPointsWith(4, 12, stressTrial)
+			out, err := Sweep(context.Background(), 4, 12, nil, func(i int, _ *TrialScratch) float64 { return stressTrial(i) })
+			if err != nil {
+				errs <- err.Error()
+				return
+			}
 			for i, v := range out {
 				if v != stressTrial(i) {
 					errs <- "concurrent pool user got divergent result"

@@ -20,7 +20,6 @@ import (
 // misses the cache rather than serving stale bytes.
 type Key struct {
 	Experiment string  `json:"experiment"`
-	Variant    string  `json:"variant"`
 	Seed       int64   `json:"seed"`
 	Scale      float64 `json:"scale"`
 	Code       string  `json:"code"`
@@ -29,7 +28,7 @@ type Key struct {
 // canonical renders the key as a stable string for hashing. Scale uses the
 // shortest round-trip float encoding so 0.05 and 0.050000001 hash apart.
 func (k Key) canonical() string {
-	return k.Experiment + "|" + k.Variant + "|" +
+	return k.Experiment + "|" +
 		strconv.FormatInt(k.Seed, 10) + "|" +
 		strconv.FormatFloat(k.Scale, 'g', -1, 64) + "|" + k.Code
 }

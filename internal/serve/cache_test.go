@@ -9,7 +9,7 @@ import (
 )
 
 func testKey(code string) Key {
-	return Key{Experiment: "parklot", Variant: "pcc", Seed: 42, Scale: 0.05, Code: code}
+	return Key{Experiment: "parklot", Seed: 42, Scale: 0.05, Code: code}
 }
 
 func TestCacheRoundtrip(t *testing.T) {
@@ -41,10 +41,10 @@ func TestCacheKeyIsolation(t *testing.T) {
 	c.Put(k, []byte("result-v1"))
 	// Any field change — including only the code version — must miss.
 	for name, other := range map[string]Key{
-		"code":  {Experiment: k.Experiment, Variant: k.Variant, Seed: k.Seed, Scale: k.Scale, Code: "v2"},
-		"seed":  {Experiment: k.Experiment, Variant: k.Variant, Seed: 43, Scale: k.Scale, Code: k.Code},
-		"scale": {Experiment: k.Experiment, Variant: k.Variant, Seed: k.Seed, Scale: 0.06, Code: k.Code},
-		"exp":   {Experiment: "theory", Variant: k.Variant, Seed: k.Seed, Scale: k.Scale, Code: k.Code},
+		"code":  {Experiment: k.Experiment, Seed: k.Seed, Scale: k.Scale, Code: "v2"},
+		"seed":  {Experiment: k.Experiment, Seed: 43, Scale: k.Scale, Code: k.Code},
+		"scale": {Experiment: k.Experiment, Seed: k.Seed, Scale: 0.06, Code: k.Code},
+		"exp":   {Experiment: "theory", Seed: k.Seed, Scale: k.Scale, Code: k.Code},
 	} {
 		if _, ok := c.Get(other); ok {
 			t.Errorf("%s-differing key hit the cache", name)

@@ -16,7 +16,7 @@ type ErrorRecord struct {
 	Time       time.Time `json:"time"`
 	Kind       string    `json:"kind"` // "panic" | "timeout" | "error"
 	Experiment string    `json:"experiment"`
-	Variant    string    `json:"variant"`
+	Variant    string    `json:"variant"` // stamped by the failing trial, if any
 	Seed       int64     `json:"seed"`
 	Scale      float64   `json:"scale"`
 	Message    string    `json:"message"`
@@ -47,7 +47,6 @@ func (l *Ledger) Record(k Key, err error) {
 		Time:       time.Now(),
 		Kind:       "error",
 		Experiment: k.Experiment,
-		Variant:    k.Variant,
 		Seed:       k.Seed,
 		Scale:      k.Scale,
 		Message:    err.Error(),

@@ -110,9 +110,6 @@ type SweepRequest struct {
 	Experiments []string  `json:"experiments"`
 	Scales      []float64 `json:"scales"`
 	Seeds       []int64   `json:"seeds"`
-	// Variant is carried into every cache key and result line; empty means
-	// "all variants" (drivers sweep their protocol variants internally).
-	Variant string `json:"variant"`
 	// Timeout optionally tightens the server's per-sweep deadline; it can
 	// never loosen it. Go duration syntax.
 	Timeout string `json:"timeout"`
@@ -141,8 +138,7 @@ func (s *Server) units(req *SweepRequest) ([]Key, error) {
 		for _, sc := range req.Scales {
 			for _, sd := range req.Seeds {
 				keys = append(keys, Key{
-					Experiment: e, Variant: req.Variant,
-					Seed: sd, Scale: sc, Code: s.cfg.CodeVersion,
+					Experiment: e, Seed: sd, Scale: sc, Code: s.cfg.CodeVersion,
 				})
 			}
 		}
@@ -295,8 +291,7 @@ func (s *Server) streamSweep(ctx context.Context, lw *lineWriter, keys []Key) {
 			}
 			failed++
 			errLine := ResultLine{
-				Experiment: keys[i].Experiment, Variant: keys[i].Variant,
-				Seed: keys[i].Seed, Scale: keys[i].Scale,
+				Experiment: keys[i].Experiment, Seed: keys[i].Seed, Scale: keys[i].Scale,
 				Error: &LineError{Kind: errKind(ur.err), Message: ur.err.Error()},
 			}
 			if err := lw.writeJSON(errLine); err != nil {

@@ -22,31 +22,33 @@ import (
 // test binary. They live beside the real drivers in exp's registry, which is
 // exactly how an extension would add experiments to a running daemon.
 func init() {
-	exp.Register("srvtest", func(scale float64, seed int64) *exp.Report {
+	exp.Register("srvtest", func(ctx context.Context, scale float64, seed int64) (*exp.Report, error) {
 		return &exp.Report{
 			ID: "srvtest", Title: "serve test driver",
 			Header: []string{"scale", "seed"},
 			Rows:   [][]string{{fmt.Sprintf("%.3f", scale), fmt.Sprintf("%d", seed)}},
-		}
+		}, nil
 	})
-	exp.Register("srvpanic", func(scale float64, seed int64) *exp.Report {
-		exp.RunTrialsScratchWith(1, 1, func(i int, ts *exp.TrialScratch) {
+	exp.Register("srvpanic", func(ctx context.Context, scale float64, seed int64) (*exp.Report, error) {
+		_, err := exp.Sweep(ctx, 1, 1, nil, func(i int, ts *exp.TrialScratch) bool {
 			ts.Stamp("srvpanic", "inj", seed)
 			srvPanicTrial()
+			return true
 		})
-		return nil
+		return nil, err
 	})
-	exp.RegisterCtx("srvhang", func(ctx context.Context, scale float64, seed int64) (*exp.Report, error) {
-		err := exp.RunTrialsScratchCtxWith(ctx, 1, 1, func(i int, ts *exp.TrialScratch) {
+	exp.Register("srvhang", func(ctx context.Context, scale float64, seed int64) (*exp.Report, error) {
+		_, err := exp.Sweep(ctx, 1, 1, nil, func(i int, ts *exp.TrialScratch) bool {
 			ts.Stamp("srvhang", "wedge", seed)
 			<-srvHangRelease
+			return true
 		})
 		if err != nil {
 			return nil, err
 		}
 		return &exp.Report{ID: "srvhang", Header: []string{"ok"}, Rows: [][]string{{"ok"}}}, nil
 	})
-	exp.RegisterCtx("srvgate", func(ctx context.Context, scale float64, seed int64) (*exp.Report, error) {
+	exp.Register("srvgate", func(ctx context.Context, scale float64, seed int64) (*exp.Report, error) {
 		select {
 		case <-currentGate():
 		case <-ctx.Done():
@@ -55,7 +57,7 @@ func init() {
 		return &exp.Report{ID: "srvgate", Header: []string{"seed"},
 			Rows: [][]string{{fmt.Sprintf("%d", seed)}}}, nil
 	})
-	exp.RegisterCtx("srvslow", func(ctx context.Context, scale float64, seed int64) (*exp.Report, error) {
+	exp.Register("srvslow", func(ctx context.Context, scale float64, seed int64) (*exp.Report, error) {
 		for i := 0; i < 50; i++ {
 			select {
 			case <-ctx.Done():
@@ -141,7 +143,10 @@ func ndjsonLines(t *testing.T, body []byte) []map[string]any {
 
 // TestSweepByteIdenticalAndCached is the heart of the serving contract: the
 // same sweep served twice returns byte-identical bodies, the second time
-// from the cache, and the streamed report matches a direct exp.Run.
+// from the cache, and the streamed report matches a direct exp.Run. The
+// second request carries the retired "variant" field an older client may
+// still send: it is ignored, so it neither fails the request nor splits the
+// cache entry.
 func TestSweepByteIdenticalAndCached(t *testing.T) {
 	srv, ts := newTestServer(t, Config{CacheDir: t.TempDir(), Workers: 2})
 	req := `{"experiments":["theory"],"scales":[0.2],"seeds":[7]}`
@@ -161,7 +166,7 @@ func TestSweepByteIdenticalAndCached(t *testing.T) {
 		t.Fatal("first sweep hit the cache")
 	}
 
-	r2, err := postSweep(t, ts.URL, req)
+	r2, err := postSweep(t, ts.URL, `{"experiments":["theory"],"scales":[0.2],"seeds":[7],"variant":"pcc"}`)
 	if err != nil {
 		t.Fatal(err)
 	}

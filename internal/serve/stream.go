@@ -14,7 +14,6 @@ import (
 // on /v1/stats instead).
 type ResultLine struct {
 	Experiment string     `json:"experiment"`
-	Variant    string     `json:"variant"`
 	Seed       int64      `json:"seed"`
 	Scale      float64    `json:"scale"`
 	Report     string     `json:"report,omitempty"`
@@ -44,8 +43,7 @@ type SummaryLine struct {
 // from cache" and "recomputed" byte-identical.
 func marshalResult(k Key, report string) []byte {
 	b, err := json.Marshal(ResultLine{
-		Experiment: k.Experiment, Variant: k.Variant,
-		Seed: k.Seed, Scale: k.Scale, Report: report,
+		Experiment: k.Experiment, Seed: k.Seed, Scale: k.Scale, Report: report,
 	})
 	if err != nil {
 		// A Report is strings all the way down; this cannot fail.
