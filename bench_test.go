@@ -252,8 +252,8 @@ func BenchmarkFig10IncastSequential(b *testing.B) {
 }
 
 func BenchmarkFig10IncastParallel(b *testing.B) {
-	// Both axes of the parallelism budget (PCC_PAR trial workers ×
-	// PCC_SHARDS intra-trial shards) are reported so recorded runs
+	// Both axes of the parallelism budget (trial workers × PCC_SHARDS
+	// intra-trial shards) are reported so recorded runs
 	// (BENCH_*.json) say what they measured.
 	b.ReportMetric(float64(exp.Workers()), "workers")
 	b.ReportMetric(float64(exp.Shards()), "shards")

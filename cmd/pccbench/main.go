@@ -12,13 +12,13 @@
 // Scale shortens experiment durations/trial counts proportionally (default
 // 0.2); shapes are preserved, absolute convergence detail improves with
 // scale. Seeds make every run reproducible: each experiment fans its trials
-// out across a worker pool (bounded by -par, the PCC_PAR environment
-// variable, or GOMAXPROCS, in that order) and produces byte-identical
-// tables at any worker count. -shards (or PCC_SHARDS) additionally caps how
-// many conservative engine shards a single trial may use (experiments opt
-// in per topology; see internal/sim.ShardGroup) — reports are byte-identical
-// at any shard count too, so the two knobs budget cores between
-// across-trial and within-trial parallelism without affecting results.
+// out across a worker pool (bounded by -par, else GOMAXPROCS divided by the
+// shard count) and produces byte-identical tables at any worker count.
+// -shards (or PCC_SHARDS) additionally caps how many conservative engine
+// shards a single trial may use (experiments opt in per topology; see
+// internal/sim.ShardGroup) — reports are byte-identical at any shard count
+// too, so the two knobs budget cores between across-trial and within-trial
+// parallelism without affecting results.
 package main
 
 import (
@@ -38,7 +38,7 @@ var (
 	id         = flag.String("exp", "", "experiment id (figN, table1, loss50, theory) or 'all'")
 	scale      = flag.Float64("scale", 0.2, "duration/trial scale in (0,1]; 1.0 = paper durations")
 	seed       = flag.Int64("seed", 42, "root RNG seed")
-	par        = flag.Int("par", 0, "worker goroutines per experiment (0 = auto: PCC_PAR env, then GOMAXPROCS; 1 = sequential)")
+	par        = flag.Int("par", 0, "worker goroutines per experiment (0 = auto: GOMAXPROCS/shards; 1 = sequential)")
 	shards     = flag.Int("shards", 0, "max conservative engine shards per trial (0 = auto: PCC_SHARDS env, then 1)")
 	nodes      = flag.Int("nodes", 0, "target node count for generated-topology experiments (0 = scale-derived)")
 	flows      = flag.Int("flows", 0, "target concurrent flow count for generated-topology experiments (0 = scale-derived)")

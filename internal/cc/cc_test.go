@@ -82,22 +82,32 @@ func (f *fixedWindow) OnLossEvent(now float64)                 {}
 func (f *fixedWindow) OnTimeout(now float64)                   {}
 func (f *fixedWindow) Cwnd() float64                           { return f.w }
 
-func buildPath(eng *sim.Engine, seed int64, rateMbps, rtt, loss float64, buf int) (*netem.Dumbbell, *sim.Seeds) {
+// buildPath builds a dumbbell: one zero-delay bottleneck link that flows
+// reach over the access routes below.
+func buildPath(eng *sim.Engine, seed int64, rateMbps, loss float64, buf int) (*netem.Topology, *sim.Seeds) {
 	seeds := sim.NewSeeds(seed)
-	d := netem.NewDumbbell(eng, netem.NewDropTail(buf), netem.Mbps(rateMbps), loss, seeds)
+	d := netem.NewTopology(eng)
+	d.AddLink("bottleneck", "senders", "receivers", netem.NewDropTail(buf), netem.Mbps(rateMbps), 0, loss, seeds.NextRand())
 	return d, seeds
 }
 
+// fwd30ms/rev30ms route a flow over buildPath's bottleneck at a 30 ms RTT:
+// a 15 ms access hop each way.
+var (
+	fwd30ms = []netem.HopSpec{netem.DelayHop(0.015), netem.LinkHop("bottleneck")}
+	rev30ms = []netem.HopSpec{netem.DelayHop(0.015)}
+)
+
 func TestWindowSenderDeliversFiniteFlow(t *testing.T) {
 	eng := sim.NewEngine()
-	d, seeds := buildPath(eng, 1, 100, 0.030, 0, 375*netem.KB)
+	d, seeds := buildPath(eng, 1, 100, 0, 375*netem.KB)
 	recv := NewReceiver(eng, 0)
 	recv.SendAck = d.SendAck
 	ws := NewWindowSender(eng, 0, &fixedWindow{w: 20}, d.SendData)
 	ws.FlowPackets = 500
 	doneAt := -1.0
 	ws.OnDone = func(now float64) { doneAt = now }
-	d.AddFlow(0, netem.SymmetricRTT(0.030), seeds, recv.OnData, ws.OnAck)
+	d.AddFlow(0, fwd30ms, rev30ms, seeds, recv.OnData, ws.OnAck)
 	eng.At(0, ws.Start)
 	eng.RunUntil(60)
 	if doneAt < 0 {
@@ -110,14 +120,14 @@ func TestWindowSenderDeliversFiniteFlow(t *testing.T) {
 
 func TestWindowSenderRecoversFromLoss(t *testing.T) {
 	eng := sim.NewEngine()
-	d, seeds := buildPath(eng, 5, 100, 0.030, 0.05, 375*netem.KB)
+	d, seeds := buildPath(eng, 5, 100, 0.05, 375*netem.KB)
 	recv := NewReceiver(eng, 0)
 	recv.SendAck = d.SendAck
 	ws := NewWindowSender(eng, 0, &fixedWindow{w: 50}, d.SendData)
 	ws.FlowPackets = 2000
 	done := false
 	ws.OnDone = func(now float64) { done = true }
-	d.AddFlow(0, netem.SymmetricRTT(0.030), seeds, recv.OnData, ws.OnAck)
+	d.AddFlow(0, fwd30ms, rev30ms, seeds, recv.OnData, ws.OnAck)
 	eng.At(0, ws.Start)
 	eng.RunUntil(120)
 	if !done {
@@ -136,11 +146,11 @@ func TestWindowSenderThroughputMatchesWindow(t *testing.T) {
 	// cwnd 25 packets at 30 ms RTT ≈ 10 Mbps, well under the 100 Mbps
 	// link: goodput should match the window-limited prediction.
 	eng := sim.NewEngine()
-	d, seeds := buildPath(eng, 2, 100, 0.030, 0, 375*netem.KB)
+	d, seeds := buildPath(eng, 2, 100, 0, 375*netem.KB)
 	recv := NewReceiver(eng, 0)
 	recv.SendAck = d.SendAck
 	ws := NewWindowSender(eng, 0, &fixedWindow{w: 25}, d.SendData)
-	d.AddFlow(0, netem.SymmetricRTT(0.030), seeds, recv.OnData, ws.OnAck)
+	d.AddFlow(0, fwd30ms, rev30ms, seeds, recv.OnData, ws.OnAck)
 	eng.At(0, ws.Start)
 	eng.RunUntil(30)
 	got := float64(recv.UniqueBytes()) / 30
@@ -162,11 +172,11 @@ func (f *fixedRate) OnLost(seq int64, now float64)             {}
 
 func TestRateSenderPacesAtTargetRate(t *testing.T) {
 	eng := sim.NewEngine()
-	d, seeds := buildPath(eng, 3, 100, 0.030, 0, 375*netem.KB)
+	d, seeds := buildPath(eng, 3, 100, 0, 375*netem.KB)
 	recv := NewReceiver(eng, 0)
 	recv.SendAck = d.SendAck
 	rs := NewRateSender(eng, 0, &fixedRate{r: netem.Mbps(20)}, d.SendData)
-	d.AddFlow(0, netem.SymmetricRTT(0.030), seeds, recv.OnData, rs.OnAck)
+	d.AddFlow(0, fwd30ms, rev30ms, seeds, recv.OnData, rs.OnAck)
 	eng.At(0, rs.Start)
 	eng.RunUntil(20)
 	got := netem.ToMbps(float64(recv.UniqueBytes()) / 20)
@@ -177,14 +187,14 @@ func TestRateSenderPacesAtTargetRate(t *testing.T) {
 
 func TestRateSenderCompletesUnderHeavyLoss(t *testing.T) {
 	eng := sim.NewEngine()
-	d, seeds := buildPath(eng, 11, 100, 0.030, 0.2, 375*netem.KB)
+	d, seeds := buildPath(eng, 11, 100, 0.2, 375*netem.KB)
 	recv := NewReceiver(eng, 0)
 	recv.SendAck = d.SendAck
 	rs := NewRateSender(eng, 0, &fixedRate{r: netem.Mbps(10)}, d.SendData)
 	rs.FlowPackets = 1000
 	done := false
 	rs.OnDone = func(now float64) { done = true }
-	d.AddFlow(0, netem.SymmetricRTT(0.030), seeds, recv.OnData, rs.OnAck)
+	d.AddFlow(0, fwd30ms, rev30ms, seeds, recv.OnData, rs.OnAck)
 	eng.At(0, rs.Start)
 	eng.RunUntil(120)
 	if !done {
@@ -246,7 +256,7 @@ func TestReceiverBuckets(t *testing.T) {
 // window-limited throughput both scale with the configured wire size.
 func TestWindowSenderHonorsPktSize(t *testing.T) {
 	eng := sim.NewEngine()
-	d, seeds := buildPath(eng, 9, 100, 0.030, 0, 375*netem.KB)
+	d, seeds := buildPath(eng, 9, 100, 0, 375*netem.KB)
 	recv := NewReceiver(eng, 0)
 	recv.SendAck = d.SendAck
 	ws := NewWindowSender(eng, 0, &fixedWindow{w: 20}, d.SendData)
@@ -254,7 +264,7 @@ func TestWindowSenderHonorsPktSize(t *testing.T) {
 	ws.FlowPackets = 500
 	doneAt := -1.0
 	ws.OnDone = func(now float64) { doneAt = now }
-	d.AddFlow(0, netem.SymmetricRTT(0.030), seeds, recv.OnData, ws.OnAck)
+	d.AddFlow(0, fwd30ms, rev30ms, seeds, recv.OnData, ws.OnAck)
 	eng.At(0, ws.Start)
 	eng.RunUntil(60)
 	if doneAt < 0 {
@@ -271,12 +281,12 @@ func TestWindowSenderHonorsPktSize(t *testing.T) {
 func TestRateSenderHonorsPktSize(t *testing.T) {
 	for _, size := range []int{512, 9000} {
 		eng := sim.NewEngine()
-		d, seeds := buildPath(eng, 3, 100, 0.030, 0, 375*netem.KB)
+		d, seeds := buildPath(eng, 3, 100, 0, 375*netem.KB)
 		recv := NewReceiver(eng, 0)
 		recv.SendAck = d.SendAck
 		rs := NewRateSender(eng, 0, &fixedRate{r: 1.25e6}, d.SendData) // 10 Mbps
 		rs.PktSize = size
-		d.AddFlow(0, netem.SymmetricRTT(0.030), seeds, recv.OnData, rs.OnAck)
+		d.AddFlow(0, fwd30ms, rev30ms, seeds, recv.OnData, rs.OnAck)
 		eng.At(0, rs.Start)
 		eng.RunUntil(30)
 		got := float64(recv.UniqueBytes()) / 30

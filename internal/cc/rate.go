@@ -18,7 +18,7 @@ type RateSender struct {
 	Eng  *sim.Engine
 	Flow int
 	Algo RateAlgo
-	// SendData transmits a data packet (wired to Dumbbell.SendData).
+	// SendData transmits a data packet (wired to netem.Topology.SendData).
 	SendData func(*netem.Packet)
 	Est      *RTTEstimator
 

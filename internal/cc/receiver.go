@@ -12,7 +12,7 @@ type Receiver struct {
 	Eng  *sim.Engine
 	Flow int
 	// SendAck transmits an ACK onto the reverse path (wired to
-	// Dumbbell.SendAck by the experiment).
+	// netem.Topology.SendAck by the experiment).
 	SendAck func(*netem.Packet)
 
 	// FlowPackets, when > 0, is the flow length in packets; OnComplete

@@ -22,7 +22,7 @@ type WindowSender struct {
 	Eng  *sim.Engine
 	Flow int
 	Algo WindowAlgo
-	// SendData transmits a data packet (wired to Dumbbell.SendData).
+	// SendData transmits a data packet (wired to netem.Topology.SendData).
 	SendData func(*netem.Packet)
 	Est      *RTTEstimator
 

@@ -74,12 +74,13 @@ func (ts *TrialScratch) Provenance() TrialProvenance {
 // key choice degrades to fresh builds instead of unbounded retention.
 const maxArenaRunners = 32
 
-// Runner returns a dumbbell runner for the given path: the cached one for
+// Runner is TopologyRunner for a NewRunner dumbbell: the cached one for
 // key, re-specced in place, or a freshly built one on first use (or when
-// the queue kind changed under the key).
+// the queue kind changed under the key). Its keys live in their own
+// namespace, so a driver may use one key for a dumbbell and a topology.
 func (ts *TrialScratch) Runner(key string, p PathSpec) *Runner {
 	k := "d\x00" + p.QueueKind + "\x00" + key
-	if r := ts.runners[k]; r != nil && r.respecDumbbell(p) {
+	if r := ts.runners[k]; r != nil && r.respecPath(p) {
 		return r
 	}
 	r := NewRunner(p)

@@ -52,7 +52,7 @@ func runFig11(ctx context.Context, scale float64, seed int64) (*Report, *fig11Se
 		// Derive the variation stream from the experiment seed alone so
 		// every protocol faces the identical sequence of conditions.
 		varyRng := sim.NewSeeds(seed ^ 0x5eed).NextRand()
-		trace := netem.StartVarying(r.Eng, r.Net, f.ID, spec, varyRng, dur)
+		trace := netem.StartVarying(r.Eng, r.Topo, r.Topo.LinkByName(bottleneckLink), f.ID, spec, varyRng, dur)
 		r.Run(dur)
 		return fig11Trial{goodput: f.GoodputMbps(dur), achieved: f.SeriesMbps(), trace: *trace}
 	})

@@ -1,6 +1,6 @@
 // Package exp contains one driver per table/figure of the paper's
 // evaluation (§4), plus the shared harness that assembles simulated
-// dumbbells, flows and protocols. Each driver returns structured rows that
+// networks, flows and protocols. Each driver returns structured rows that
 // cmd/pccbench and bench_test.go print; EXPERIMENTS.md records
 // paper-vs-measured for each.
 package exp
@@ -111,8 +111,8 @@ type FlowSpec struct {
 	Proto string
 	// RTT overrides the path RTT for this flow (0 = path default).
 	RTT float64
-	// RevLoss is ACK-path Bernoulli loss (dumbbell runners only; a
-	// topology route expresses ACK loss with netem.LossyDelayHop).
+	// RevLoss is ACK-path Bernoulli loss (route-less flows only; an
+	// explicit route expresses ACK loss with netem.LossyDelayHop).
 	RevLoss float64
 	// StartAt is the flow's start time, seconds.
 	StartAt float64
@@ -137,8 +137,9 @@ type FlowSpec struct {
 	TraceRate bool
 	// FwdRoute/RevRoute are the flow's explicit routes on a topology
 	// runner (hop chains over named links and delay segments). Both must be
-	// set together; leave empty on a dumbbell runner. When RTT is 0 it is
-	// inferred from the routes' propagation delays.
+	// set together; leave both empty to cross a NewRunner dumbbell's
+	// bottleneck. When RTT is 0 it is inferred from the routes' propagation
+	// delays.
 	FwdRoute []netem.HopSpec
 	RevRoute []netem.HopSpec
 }
@@ -164,12 +165,13 @@ type Flow struct {
 	// srcNode/dstNode are the nodes the flow's sender and receiver live at
 	// (the forward route's first link tail and last link head), recorded so
 	// node-crash faults can freeze exactly the endpoints hosted at the
-	// crashed node. Empty on dumbbell flows and link-less routes.
+	// crashed node. Empty on fault-free runners and link-less routes.
 	srcNode, dstNode string
 }
 
-// Runner assembles and runs one simulation — a dumbbell (NewRunner) or a
-// general multi-link topology (NewTopologyRunner). A Runner (like its
+// Runner assembles and runs one simulation over a network graph — a
+// dumbbell (NewRunner, a one-link topology) or a general multi-link
+// topology (NewTopologyRunner). A Runner (like its
 // Engine) is single-threaded; parallel experiments give every trial its own
 // Runner (see pool.go), which also keeps the packet free list goroutine-local.
 //
@@ -181,11 +183,10 @@ type Flow struct {
 type Runner struct {
 	Eng   *sim.Engine
 	Seeds *sim.Seeds
-	// Net is the dumbbell view; nil on a topology runner.
-	Net *netem.Dumbbell
-	// Topo is the underlying network graph, set on every runner (a
-	// dumbbell is a two-node topology).
-	Topo  *netem.Topology
+	// Topo is the network graph (a dumbbell is one bottleneck link).
+	Topo *netem.Topology
+	// Path is the dumbbell spec NewRunner was built from; route-less flows
+	// take their default RTT from it. Only Seed is set on topology runners.
 	Path  PathSpec
 	Flows []*Flow
 	// PktPool recycles packets across all flows of this runner.
@@ -212,7 +213,7 @@ type Runner struct {
 	reclaim  func(arg any)
 	reclaims []func(arg any)
 	// linkShape remembers the TopologySpec link structure this runner was
-	// built from (topology runners only), for respec shape verification.
+	// built from, for respec shape verification.
 	linkShape []LinkSpec
 	// reqShards is the TopologySpec.Shards this runner was built under;
 	// a different request forces a rebuild (engines are pinned at build).
@@ -319,18 +320,25 @@ func resetQueue(q netem.Queue, kind string, bufBytes int, pool *netem.PacketPool
 	return true
 }
 
-// NewRunner builds the dumbbell for the given path.
+// bottleneckLink names the single link of a NewRunner dumbbell; route-less
+// flows cross it.
+const bottleneckLink = "bottleneck"
+
+// dumbbellLink is the one link of the dumbbell topology for p. All
+// propagation delay lives in the flows' access hops (see AddFlow), so the
+// link itself contributes only queueing plus serialization.
+func dumbbellLink(p PathSpec) LinkSpec {
+	return LinkSpec{Name: bottleneckLink, From: "senders", To: "receivers",
+		RateMbps: p.RateMbps, Loss: p.Loss, BufBytes: p.BufBytes, QueueKind: p.QueueKind}
+}
+
+// NewRunner builds the dumbbell for the given path: n senders sharing one
+// bottleneck toward their receivers (§4's topology), as a one-link
+// topology. Flows added without routes get per-flow access delays and ACK
+// loss around that link; p.RTT is their default RTT.
 func NewRunner(p PathSpec) *Runner {
-	eng := sim.NewEngine()
-	seeds := sim.NewSeeds(p.Seed)
-	net := netem.NewDumbbell(eng, makeQueue(p.QueueKind, p.BufBytes), netem.Mbps(p.RateMbps), p.Loss, seeds)
-	pool := &netem.PacketPool{}
-	net.UsePool(pool)
-	r := &Runner{Eng: eng, Seeds: seeds, Net: net, Topo: net.Topo, Path: p, PktPool: pool}
-	r.Engines = []*sim.Engine{eng}
-	r.Pools = []*netem.PacketPool{pool}
-	r.arenas = make([]cc.PktArena, 1)
-	r.bindSinks()
+	r := NewTopologyRunner(TopologySpec{Links: []LinkSpec{dumbbellLink(p)}, Seed: p.Seed})
+	r.Path = p
 	return r
 }
 
@@ -499,34 +507,26 @@ func (r *Runner) bindSinks() {
 	r.reclaim = r.reclaims[0]
 }
 
-// respecDumbbell rewinds a cached dumbbell runner for a new trial: engine
-// reset (in-flight packets recycled), seed chain rewound to the new root,
-// bottleneck queue and link re-specced in place. It reports false when the
-// queue kind changed, in which case the caller builds a fresh runner.
-// Previously added flows stay parked in flowPool for AddFlow to reuse.
-func (r *Runner) respecDumbbell(p PathSpec) bool {
-	if r.Net == nil {
+// respecPath is respecTopology for a NewRunner dumbbell. It re-specs the
+// stored one-link shape in place rather than building a fresh link slice,
+// so a warm trial allocates nothing for it. A queue kind other than the
+// cached one fails resetQueue, and the caller builds a fresh runner.
+func (r *Runner) respecPath(p PathSpec) bool {
+	r.linkShape[0] = dumbbellLink(p)
+	if !r.respecTopology(TopologySpec{Links: r.linkShape, Seed: p.Seed}) {
 		return false
 	}
-	q := r.Net.Bottleneck.Queue
-	r.Eng.Reset(r.reclaim)
-	r.Seeds.Reset(p.Seed)
-	if !resetQueue(q, p.QueueKind, p.BufBytes, r.PktPool) {
-		return false
-	}
-	// The same chain position NewDumbbell's AddLink drew its loss rng from.
-	r.Net.Bottleneck.Reset(netem.Mbps(p.RateMbps), 0, p.Loss, r.Seeds.Next())
 	r.Path = p
-	r.Flows = r.Flows[:0]
-	r.randIdx = 0
 	return true
 }
 
-// respecTopology rewinds a cached topology runner for a new trial. It
-// reports false when the link structure (names, endpoints, queue kinds)
-// differs from the cached build.
+// respecTopology rewinds a cached runner for a new trial: engines reset
+// (in-flight packets recycled), seed chain rewound to the new root, link
+// queues and parameters re-specced in place. It reports false when the link
+// structure (names, endpoints, queue kinds) differs from the cached build.
+// Previously added flows stay parked in flowPool for AddFlow to reuse.
 func (r *Runner) respecTopology(ts TopologySpec) bool {
-	if r.Net != nil || len(r.linkShape) != len(ts.Links) || r.reqShards != ts.Shards {
+	if len(r.linkShape) != len(ts.Links) || r.reqShards != ts.Shards {
 		return false
 	}
 	if !maps.Equal(r.shardHints, ts.ShardHints) {
@@ -757,14 +757,8 @@ func (r *Runner) NextRand() *rand.Rand {
 	return rr
 }
 
-// Capacity returns the dumbbell bottleneck capacity in bytes/s. On a
-// topology runner there is no single bottleneck and Capacity returns 0;
-// use RouteCapacity with a flow's route instead.
-func (r *Runner) Capacity() float64 { return netem.Mbps(r.Path.RateMbps) }
-
-// RouteCapacity returns the narrowest link rate along a route, bytes/s
-// (falling back to the dumbbell capacity for a link-less route; 0 means
-// the route is unconstrained — pure delay hops on a topology runner).
+// RouteCapacity returns the narrowest link rate along a route, bytes/s (0
+// for a link-less route, which is unconstrained).
 func (r *Runner) RouteCapacity(route []netem.HopSpec) float64 {
 	c := 0.0
 	for _, h := range route {
@@ -778,9 +772,6 @@ func (r *Runner) RouteCapacity(route []netem.HopSpec) float64 {
 		if c == 0 || l.Rate < c {
 			c = l.Rate
 		}
-	}
-	if c == 0 {
-		c = r.Capacity()
 	}
 	return c
 }
@@ -805,11 +796,12 @@ func (r *Runner) routeRTT(fwd, rev []netem.HopSpec) float64 {
 	return sum
 }
 
-// AddFlow registers a flow; it will start at spec.StartAt. On a topology
-// runner the spec must carry FwdRoute/RevRoute; on a dumbbell runner the
-// flow's path is the shared bottleneck with RTT/RevLoss access segments.
-// AddFlow may be called while the simulation is running (cross-traffic
-// generators) provided StartAt is not in the past.
+// AddFlow registers a flow; it will start at spec.StartAt. A spec with
+// FwdRoute/RevRoute follows those routes; a route-less spec crosses the
+// dumbbell bottleneck behind a delay hop of half its RTT and returns over a
+// delay hop of the other half with RevLoss ACK loss. AddFlow may be called
+// while the simulation is running (cross-traffic generators) provided
+// StartAt is not in the past.
 //
 // On an arena-reused runner, AddFlow recycles the flow previously holding
 // this id: the receiver and (when the sender category matches) the sender
@@ -819,28 +811,26 @@ func (r *Runner) routeRTT(fwd, rev []netem.HopSpec) float64 {
 // positions a fresh build would, so results are bit-identical.
 func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 	id := len(r.Flows)
-	topoFlow := len(spec.FwdRoute) > 0
-	if r.Net == nil && !topoFlow {
-		panic("exp: flows on a topology runner need FwdRoute/RevRoute")
-	}
-	if topoFlow != (len(spec.RevRoute) > 0) {
+	fwd, rev := spec.FwdRoute, spec.RevRoute
+	if (len(fwd) > 0) != (len(rev) > 0) {
 		panic("exp: FwdRoute and RevRoute must be set together")
 	}
-	if topoFlow && spec.RevLoss != 0 {
-		panic("exp: RevLoss is ignored on explicit routes; use netem.LossyDelayHop in RevRoute")
-	}
 	rtt := spec.RTT
-	if rtt <= 0 {
-		if topoFlow {
-			rtt = r.routeRTT(spec.FwdRoute, spec.RevRoute)
-		} else {
+	if len(fwd) == 0 {
+		if rtt <= 0 {
 			rtt = r.Path.RTT
 		}
+		fwd = []netem.HopSpec{netem.DelayHop(rtt / 2), netem.LinkHop(bottleneckLink)}
+		rev = []netem.HopSpec{netem.LossyDelayHop(rtt/2, spec.RevLoss)}
+	} else {
+		if spec.RevLoss != 0 {
+			panic("exp: RevLoss is ignored on explicit routes; use netem.LossyDelayHop in RevRoute")
+		}
+		if rtt <= 0 {
+			rtt = r.routeRTT(fwd, rev)
+		}
 	}
-	capacity := r.Capacity()
-	if topoFlow {
-		capacity = r.RouteCapacity(spec.FwdRoute)
-	}
+	capacity := r.RouteCapacity(fwd)
 	pktSize := spec.PacketSize
 	if pktSize <= 0 {
 		pktSize = cc.MSS
@@ -849,15 +839,15 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 	// are injected (the forward route's entry shard), the receiver where
 	// they are delivered. Unsharded runners have a single shard 0.
 	sShard, rShard := 0, 0
-	if r.Group != nil && topoFlow {
-		sShard, rShard = r.Topo.RouteEnds(spec.FwdRoute)
+	if r.Group != nil {
+		sShard, rShard = r.Topo.RouteEnds(fwd)
 	}
 	// Resolve the endpoint nodes for node-crash freezing: the tail of the
 	// first link and the head of the last link on the forward route.
 	srcNode, dstNode := "", ""
-	if topoFlow && !r.faultSpec.Empty() {
+	if !r.faultSpec.Empty() {
 		first, last := "", ""
-		for _, hs := range spec.FwdRoute {
+		for _, hs := range fwd {
 			if hs.Link == "" {
 				continue
 			}
@@ -988,7 +978,6 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 		f.WS.MaxCwnd = 8*bdpPkts + 1000
 	}
 
-	cfg := netem.FlowConfig{FwdDelay: rtt / 2, RevDelay: rtt / 2, RevLoss: spec.RevLoss}
 	if f.RS != nil {
 		f.RS.Pool = sPool
 		f.RS.PktSize = pktSize
@@ -1006,13 +995,9 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 		f.WS.FlowPackets = flowPkts
 		f.WS.OnDone = f.onDone
 	}
-	// Register the flow's route(s) with the network; one RNG stream is
-	// drawn from r.Seeds either way, fresh build or respec.
-	if topoFlow {
-		r.Topo.RespecFlow(id, spec.FwdRoute, spec.RevRoute, r.Seeds, f.dataSink, f.ackSink)
-	} else {
-		r.Net.RespecFlow(id, cfg, r.Seeds, f.dataSink, f.ackSink)
-	}
+	// Register the flow's routes with the network; one RNG stream is drawn
+	// from r.Seeds either way, fresh build or respec.
+	r.Topo.RespecFlow(id, fwd, rev, r.Seeds, f.dataSink, f.ackSink)
 	sEng.At(spec.StartAt, f.startFn)
 	return f
 }

@@ -26,16 +26,15 @@ import (
 //
 // Worker-count resolution for Workers(), most specific wins:
 //
-//  1. SetWorkers (cmd/pccbench's -par flag),
-//  2. the PCC_PAR environment variable,
-//  3. GOMAXPROCS divided by the shard count.
+//  1. SetWorkers (the -par flag of cmd/pccbench and cmd/pccserve),
+//  2. GOMAXPROCS divided by the shard count.
 //
 // Drivers pass Workers() to Sweep; tests pass explicit counts.
 //
 // Workers and shards are the two parallelism axes — across trials and
 // inside one trial (sim.ShardGroup) — and a sweep uses workers × shards
 // cores. The automatic default budgets the machine across both
-// (GOMAXPROCS/Shards() workers); an explicit SetWorkers/PCC_PAR is taken
+// (GOMAXPROCS/Shards() workers); an explicit SetWorkers is taken
 // literally, so deliberate oversubscription stays expressible.
 
 // workerOverride holds the SetWorkers value; 0 means "not set".
@@ -45,7 +44,7 @@ var workerOverride atomic.Int64
 var shardOverride atomic.Int64
 
 // SetWorkers overrides the default worker count drivers pass to Sweep.
-// n <= 0 restores automatic resolution (PCC_PAR, then GOMAXPROCS/Shards).
+// n <= 0 restores automatic resolution (GOMAXPROCS/Shards).
 func SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -57,11 +56,6 @@ func SetWorkers(n int) {
 func Workers() int {
 	if n := int(workerOverride.Load()); n > 0 {
 		return n
-	}
-	if s := os.Getenv("PCC_PAR"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
 	}
 	if w := runtime.GOMAXPROCS(0) / Shards(); w > 1 {
 		return w
@@ -142,34 +136,21 @@ func Flows() int {
 // write barriers tax the simulator's hottest loops. Trading bounded heap
 // headroom for throughput is the standard batch-job setting. The previous
 // target is restored when the outermost sweep finishes; results are
-// unaffected (GC timing is invisible to a deterministic simulation). Set
-// PCC_GOGC to override the sweep-time target (0 disables the adjustment).
+// unaffected (GC timing is invisible to a deterministic simulation).
 var gcRelax struct {
-	mu     sync.Mutex
-	depth  int
-	prev   int
-	active bool
+	mu    sync.Mutex
+	depth int
+	prev  int
 }
 
-func gcRelaxTarget() int {
-	if s := os.Getenv("PCC_GOGC"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 0 {
-			return n
-		}
-	}
-	return 400
-}
+// gcRelaxPercent is the GOGC target while a sweep runs.
+const gcRelaxPercent = 400
 
 func enterGCRelax() {
 	gcRelax.mu.Lock()
 	gcRelax.depth++
 	if gcRelax.depth == 1 {
-		if t := gcRelaxTarget(); t > 0 {
-			gcRelax.prev = debug.SetGCPercent(t)
-			gcRelax.active = true
-		} else {
-			gcRelax.active = false
-		}
+		gcRelax.prev = debug.SetGCPercent(gcRelaxPercent)
 	}
 	gcRelax.mu.Unlock()
 }
@@ -177,9 +158,8 @@ func enterGCRelax() {
 func exitGCRelax() {
 	gcRelax.mu.Lock()
 	gcRelax.depth--
-	if gcRelax.depth == 0 && gcRelax.active {
+	if gcRelax.depth == 0 {
 		debug.SetGCPercent(gcRelax.prev)
-		gcRelax.active = false
 	}
 	gcRelax.mu.Unlock()
 }

@@ -206,11 +206,16 @@ func TestRunKnobsIgnoreEnv(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	workers := Workers()
 	t.Setenv("PCC_NODES", "300")
 	t.Setenv("PCC_FLOWS", "900")
 	t.Setenv("PCC_TRIAL_TIMEOUT", "5s")
+	t.Setenv("PCC_PAR", "5")
 	if n, f, d := Nodes(), Flows(), TrialTimeout(); n != 0 || f != 0 || d != 0 {
 		t.Errorf("with PCC_NODES/PCC_FLOWS/PCC_TRIAL_TIMEOUT set: Nodes()=%d Flows()=%d TrialTimeout()=%v, want 0 0 0", n, f, d)
+	}
+	if got := Workers(); got != workers {
+		t.Errorf("with PCC_PAR=5 set: Workers()=%d, want %d", got, workers)
 	}
 	if want == nil {
 		return

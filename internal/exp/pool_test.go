@@ -64,24 +64,19 @@ func TestSweepPanicPropagates(t *testing.T) {
 }
 
 func TestWorkersResolution(t *testing.T) {
-	// Not parallel: mutates the global override and the environment.
+	// Not parallel: mutates the global override.
 	defer SetWorkers(0)
 	SetWorkers(3)
 	if got := Workers(); got != 3 {
 		t.Fatalf("SetWorkers(3) → Workers() = %d", got)
 	}
 	SetWorkers(0)
-	t.Setenv("PCC_PAR", "5")
-	if got := Workers(); got != 5 {
-		t.Fatalf("PCC_PAR=5 → Workers() = %d", got)
-	}
-	t.Setenv("PCC_PAR", "not-a-number")
 	if got := Workers(); got < 1 {
-		t.Fatalf("garbage PCC_PAR must fall back to GOMAXPROCS, got %d", got)
+		t.Fatalf("automatic resolution must yield at least one worker, got %d", got)
 	}
 	SetWorkers(2)
 	if got := Workers(); got != 2 {
-		t.Fatalf("explicit SetWorkers must beat PCC_PAR, got %d", got)
+		t.Fatalf("SetWorkers(2) → Workers() = %d", got)
 	}
 }
 

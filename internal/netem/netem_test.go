@@ -212,12 +212,26 @@ func TestLinkRandomLossRate(t *testing.T) {
 	}
 }
 
+// newBottleneck builds the dumbbell as a one-link topology: a zero-delay
+// 100 Mbps bottleneck from "senders" to "receivers".
+func newBottleneck(eng *sim.Engine, seeds *sim.Seeds) (*Topology, *Link) {
+	topo := NewTopology(eng)
+	return topo, topo.AddLink("bottleneck", "senders", "receivers", NewDropTail(-1), Mbps(100), 0, 0, seeds.NextRand())
+}
+
+// fwd30ms/rev30ms route a flow over the bottleneck at a 30 ms RTT: a 15 ms
+// access hop each way.
+var (
+	fwd30ms = []HopSpec{DelayHop(0.015), LinkHop("bottleneck")}
+	rev30ms = []HopSpec{DelayHop(0.015)}
+)
+
 func TestDumbbellRTT(t *testing.T) {
 	eng := sim.NewEngine()
 	seeds := sim.NewSeeds(1)
-	d := NewDumbbell(eng, NewDropTail(-1), Mbps(100), 0, seeds)
+	d, _ := newBottleneck(eng, seeds)
 	var rtt float64
-	d.AddFlow(0, SymmetricRTT(0.030), seeds,
+	d.AddFlow(0, fwd30ms, rev30ms, seeds,
 		func(p *Packet) {
 			d.SendAck(&Packet{Flow: 0, Ack: true, Size: 40, EchoSent: p.Sent})
 		},
@@ -235,10 +249,10 @@ func TestDumbbellRTT(t *testing.T) {
 func TestVaryingRedraw(t *testing.T) {
 	eng := sim.NewEngine()
 	seeds := sim.NewSeeds(1)
-	d := NewDumbbell(eng, NewDropTail(-1), Mbps(100), 0, seeds)
-	d.AddFlow(0, SymmetricRTT(0.030), seeds, nil, nil)
+	d, bottleneck := newBottleneck(eng, seeds)
+	d.AddFlow(0, fwd30ms, rev30ms, seeds, nil, nil)
 	spec := VaryingSpec{Period: 1, RateMin: Mbps(10), RateMax: Mbps(100), RTTMin: 0.01, RTTMax: 0.1, LossMin: 0, LossMax: 0.01}
-	trace := StartVarying(eng, d, 0, spec, seeds.NextRand(), 10)
+	trace := StartVarying(eng, d, bottleneck, 0, spec, seeds.NextRand(), 10)
 	eng.RunUntil(10)
 	if len(*trace) != 10 {
 		t.Fatalf("got %d redraws, want 10", len(*trace))

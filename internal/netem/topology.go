@@ -9,14 +9,16 @@ import (
 
 // Topology is a general network graph: named nodes joined by directed Links,
 // with every flow assigned an explicit forward and reverse route (an ordered
-// chain of hops). It generalizes the dumbbell every paper experiment runs
-// on — multiple bottlenecks in series (parking lot), congested ACK paths
-// (data and ACKs of opposing flows sharing a link), and cross-traffic that
-// touches only a subset of hops — while keeping the simulator's invariants:
-// all per-packet scheduling is closure-free and batched (each delay stage is
-// a sim.Pipe allocated once at registration), every drop point recycles
-// through the topology's PacketPool, and for a fixed seed the event sequence
-// is bit-reproducible.
+// chain of hops). The dumbbell most paper experiments run on is its
+// one-link case: a single bottleneck link, each flow routed [access delay
+// hop, bottleneck] forward and [delay hop with optional ACK loss] back. The
+// same graph expresses multiple bottlenecks in series (parking lot),
+// congested ACK paths (data and ACKs of opposing flows sharing a link), and
+// cross-traffic that touches only a subset of hops, while keeping the
+// simulator's invariants: all per-packet scheduling is closure-free and
+// batched (each delay stage is a sim.Pipe allocated once at registration),
+// every drop point recycles through the topology's PacketPool, and for a
+// fixed seed the event sequence is bit-reproducible.
 //
 // A route hop is either
 //

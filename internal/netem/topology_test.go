@@ -271,15 +271,17 @@ func TestTopologyRouteValidation(t *testing.T) {
 
 // TestDumbbellPanicsCarryFlowID pins the diagnostic quality of the
 // unregistered-flow panics: the offending id must appear in the message
-// (the seed implementation nil-dereffed in SetFlowDelays and panicked
-// without the id in SendData/SendAck).
+// (an unregistered StartVarying flow would otherwise nil-dereference at
+// its first redraw, and SendData/SendAck panicked without the id).
 func TestDumbbellPanicsCarryFlowID(t *testing.T) {
 	eng := sim.NewEngine()
 	seeds := sim.NewSeeds(1)
-	d := NewDumbbell(eng, NewDropTail(-1), Mbps(100), 0, seeds)
-	d.AddFlow(0, SymmetricRTT(0.030), seeds, nil, nil)
+	d, bottleneck := newBottleneck(eng, seeds)
+	d.AddFlow(0, fwd30ms, rev30ms, seeds, nil, nil)
 
 	mustPanic(t, []string{"SendData", "41"}, func() { d.SendData(&Packet{Flow: 41}) })
 	mustPanic(t, []string{"SendAck", "42"}, func() { d.SendAck(&Packet{Flow: 42, Ack: true}) })
-	mustPanic(t, []string{"SetFlowDelays", "43"}, func() { d.SetFlowDelays(43, 0.01, 0.01) })
+	mustPanic(t, []string{"StartVarying", "43"}, func() {
+		StartVarying(eng, d, bottleneck, 43, VaryingSpec{Period: 1}, seeds.NextRand(), 1)
+	})
 }
