@@ -87,7 +87,7 @@ func (f *fixedWindow) Cwnd() float64                           { return f.w }
 func buildPath(eng *sim.Engine, seed int64, rateMbps, loss float64, buf int) (*netem.Topology, *sim.Seeds) {
 	seeds := sim.NewSeeds(seed)
 	d := netem.NewTopology(eng)
-	d.AddLink("bottleneck", "senders", "receivers", netem.NewDropTail(buf), netem.Mbps(rateMbps), 0, loss, seeds.NextRand())
+	d.AddLink("bottleneck", "senders", "receivers", netem.NewDropTail(buf), netem.Mbps(rateMbps), 0, loss, seeds.Next())
 	return d, seeds
 }
 

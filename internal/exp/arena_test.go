@@ -131,20 +131,24 @@ const steadyAllocBudget = 100
 // trials near zero setup allocations" claim for a dumbbell runner.
 func TestArenaSteadyStateAllocsDumbbell(t *testing.T) {
 	ts := new(TrialScratch)
-	trial := func() {
-		r := ts.Runner("pcc", PathSpec{RateMbps: 20, RTT: 0.020, Loss: 0.001, BufBytes: 50 * netem.KB, Seed: 9})
-		f := r.AddFlow(FlowSpec{Proto: "pcc", FlowKB: 64})
-		r.Run(2)
-		if f.GoodputMbps(2) <= 0 {
-			t.Fatal("trial produced no goodput")
-		}
-	}
+	trial := func() { allocDumbbellTrial(t, ts, 9) }
 	trial() // cold build
 	trial() // grow retained storage to steady state
 	avg := testing.AllocsPerRun(5, trial)
 	t.Logf("warm dumbbell trial: %.0f allocs", avg)
 	if avg > steadyAllocBudget {
 		t.Errorf("warm dumbbell trial allocates %.0f objects, budget %d", avg, steadyAllocBudget)
+	}
+}
+
+// allocDumbbellTrial is the dumbbell alloc tests' trial: one PCC flow over a
+// lossy bottleneck, so both its PCC stream and its loss stream draw.
+func allocDumbbellTrial(t *testing.T, ts *TrialScratch, seed int64) {
+	r := ts.Runner("pcc", PathSpec{RateMbps: 20, RTT: 0.020, Loss: 0.001, BufBytes: 50 * netem.KB, Seed: seed})
+	f := r.AddFlow(FlowSpec{Proto: "pcc", FlowKB: 64})
+	r.Run(2)
+	if f.GoodputMbps(2) <= 0 {
+		t.Fatal("trial produced no goodput")
 	}
 }
 
@@ -179,6 +183,69 @@ func TestArenaSteadyStateAllocsTopology(t *testing.T) {
 	if avg > steadyAllocBudget {
 		t.Errorf("warm 3-hop trial allocates %.0f objects, budget %d", avg, steadyAllocBudget)
 	}
+}
+
+// checkDistinctSeedAllocs measures warm trials that repeat seed 9 against
+// warm trials that each use a never-seen seed. Re-seeding a stream in place
+// must cost the same whatever the seed: a new seed may allocate no more than
+// a repeated one, and stays within steadyAllocBudget. Each seed drives its
+// own trajectory, whose queue and window high-water marks can still grow
+// retained storage now and then; warming up on distinct seeds first and
+// averaging over many trials (AllocsPerRun truncates) keeps that rare growth
+// out of the per-trial count.
+func checkDistinctSeedAllocs(t *testing.T, name string, trial func(seed int64)) {
+	t.Helper()
+	trial(9) // cold build
+	trial(9) // grow retained storage to steady state
+	repeated := testing.AllocsPerRun(20, func() { trial(9) })
+	k := 0
+	next := func() {
+		k++
+		trial(TrialSeed(9, k))
+	}
+	for i := 0; i < 10; i++ {
+		next()
+	}
+	distinct := testing.AllocsPerRun(20, next)
+	t.Logf("warm %s trial: %.0f allocs on a repeated seed, %.0f on distinct seeds", name, repeated, distinct)
+	if distinct > repeated {
+		t.Errorf("warm %s trial on a new seed allocates %.0f objects, %.0f on a repeated seed", name, distinct, repeated)
+	}
+	if distinct > steadyAllocBudget {
+		t.Errorf("warm %s trial on a new seed allocates %.0f objects, budget %d", name, distinct, steadyAllocBudget)
+	}
+}
+
+// TestArenaDistinctSeedAllocsDumbbell runs the dumbbell alloc trial on a
+// fresh seed each time: its PCC stream and its loss stream re-seed every
+// trial.
+func TestArenaDistinctSeedAllocsDumbbell(t *testing.T) {
+	ts := new(TrialScratch)
+	checkDistinctSeedAllocs(t, "dumbbell", func(seed int64) { allocDumbbellTrial(t, ts, seed) })
+}
+
+// TestArenaDistinctSeedAllocsTopology runs a lossy 3-hop routed trial on a
+// fresh seed each time: the PCC stream, every link's loss stream and the
+// flow's lossy ACK hop re-seed every trial.
+func TestArenaDistinctSeedAllocsTopology(t *testing.T) {
+	ts := new(TrialScratch)
+	links := make([]LinkSpec, 3)
+	for i := range links {
+		links[i] = LinkSpec{
+			Name: hopName(i), From: fmt.Sprintf("n%d", i), To: fmt.Sprintf("n%d", i+1),
+			RateMbps: 50, Delay: 0.002, Loss: 0.001, BufBytes: 100 * netem.KB,
+		}
+	}
+	fwd := []netem.HopSpec{netem.DelayHop(0.001), netem.LinkHop(hopName(0)), netem.LinkHop(hopName(1)), netem.LinkHop(hopName(2))}
+	rev := []netem.HopSpec{netem.LossyDelayHop(0.007, 0.001)}
+	checkDistinctSeedAllocs(t, "3-hop", func(seed int64) {
+		r := ts.TopologyRunner("3hop", TopologySpec{Links: links, Seed: seed})
+		f := r.AddFlow(FlowSpec{Proto: "pcc", FlowKB: 64, FwdRoute: fwd, RevRoute: rev})
+		r.Run(2)
+		if f.GoodputMbps(2) <= 0 {
+			t.Fatal("trial produced no goodput")
+		}
+	})
 }
 
 // TestArenaSteadyStateAllocsSharded pins the warm-trial budget on the shard

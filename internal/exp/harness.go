@@ -384,7 +384,7 @@ func NewTopologyRunner(ts TopologySpec) *Runner {
 	r.arenas = make([]cc.PktArena, len(r.Engines))
 	for _, ls := range ts.Links {
 		r.Topo.AddLink(ls.Name, ls.From, ls.To, makeQueue(ls.QueueKind, ls.BufBytes),
-			netem.Mbps(ls.RateMbps), ls.Delay, ls.Loss, seeds.NextRand())
+			netem.Mbps(ls.RateMbps), ls.Delay, ls.Loss, seeds.Next())
 	}
 	r.linkShape = append(r.linkShape, ts.Links...)
 	r.bindSinks()
@@ -738,8 +738,8 @@ func (r *Runner) FaultEvents() []netem.FaultEvent {
 // NextRand returns a generator seeded from the runner's derivation chain —
 // the exact stream r.Seeds.NextRand() yields — while recycling generator
 // storage across trials on an arena-cached runner: the k-th call of each
-// trial re-seeds the k-th cached generator in place (a math/rand seed fill
-// is 607 words, by far the dominant cost of a fresh generator).
+// trial re-seeds the k-th cached generator in place, which allocates
+// nothing.
 func (r *Runner) NextRand() *rand.Rand {
 	seed := r.Seeds.Next()
 	if r.randIdx < len(r.rands) {
@@ -748,10 +748,7 @@ func (r *Runner) NextRand() *rand.Rand {
 		rr.Seed(seed)
 		return rr
 	}
-	// CachedSource memoizes post-seed states, so the re-seed path above is a
-	// state copy whenever a seed recurs (every trial of a sweep re-derives
-	// the same per-slot seeds from its root seed).
-	rr := rand.New(sim.NewCachedSource(seed))
+	rr := rand.New(rand.NewSource(seed))
 	r.rands = append(r.rands, rr)
 	r.randIdx = len(r.rands)
 	return rr
@@ -930,9 +927,7 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 			f.PCC.Reset(pcfg, algoSeed)
 			f.RS.Reset(f.PCC)
 		} else {
-			// CachedSource memoizes the post-seed state, so the Reset branch
-			// above rewinds this generator with a copy instead of a reseed.
-			f.PCC = core.New(pcfg, rand.New(sim.NewCachedSource(algoSeed)))
+			f.PCC = core.New(pcfg, rand.New(rand.NewSource(algoSeed)))
 			r.setRateSender(f, f.PCC, sEng)
 		}
 	case "sabul":
@@ -1039,60 +1034,38 @@ const maxPerLinkNotes = 20
 // names individually.
 const topOffenderNotes = 5
 
-// LinkStatsNotes renders the runner's per-link accounting as report notes
-// (AddLink order, so output is deterministic).
-func (r *Runner) LinkStatsNotes() []string {
-	return r.LinkStatsNotesInto(nil)
-}
-
-// LinkStatsNotesInto is LinkStatsNotes appending into dst[:0], reusing its
-// backing array (the note strings themselves still allocate). Topologies
-// with more than maxPerLinkNotes links delegate to the aggregate summary.
-func (r *Runner) LinkStatsNotesInto(dst []string) []string {
-	if r.Topo.NumLinks() > maxPerLinkNotes {
-		return r.ConservationNotesInto(dst, topOffenderNotes)
-	}
-	dst = dst[:0]
-	for _, s := range r.Topo.Stats() {
-		dst = append(dst, fmt.Sprintf("link %s: delivered=%d wire_lost=%d queue_dropped=%d",
-			s.Name, s.Delivered, s.WireLost, s.QueueDropped))
-	}
-	return dst
-}
-
-// FaultStatsNotesInto renders per-link accounting including the fault ledger
-// and the conservation verdict, appending into dst[:0]. Chaos drivers use it
-// instead of LinkStatsNotesInto so every down/up and partition/heal
-// transition is auditable in the report (and a conservation violation is
-// visible as conserved=false rather than silently wrong goodput). Topologies
-// with more than maxPerLinkNotes links delegate to the aggregate summary,
-// which still names every non-conserved link.
-func (r *Runner) FaultStatsNotesInto(dst []string) []string {
-	if r.Topo.NumLinks() > maxPerLinkNotes {
-		return r.ConservationNotesInto(dst, topOffenderNotes)
-	}
-	dst = dst[:0]
-	for _, s := range r.Topo.Stats() {
-		dst = append(dst, fmt.Sprintf("link %s: delivered=%d wire_lost=%d queue_dropped=%d fault_dropped=%d conserved=%v",
-			s.Name, s.Delivered, s.WireLost, s.QueueDropped, s.FaultDropped, s.Conserved()))
-	}
-	return dst
-}
-
-// ConservationNotesInto renders the byte-conservation audit for large
-// topologies, appending into dst[:0]: one aggregate line (link count,
-// conserved/violated split, byte totals per ledger term), the topK
-// loss-heaviest links (by wire-lost + queue-dropped + fault-dropped bytes,
-// AddLink order on ties — deterministic), and one line per non-conserved
-// link with its full ledger, so a violation is never hidden by the
-// summarization. Topologies at or under maxPerLinkNotes links fall back to
-// the per-link fault notes.
-func (r *Runner) ConservationNotesInto(dst []string, topK int) []string {
+// LinkNotes renders the runner's per-link accounting as report notes, in
+// AddLink order so output is deterministic. A topology with more than
+// maxPerLinkNotes links gets the aggregate conservation audit. Otherwise
+// every link gets one row; a runner with a fault schedule adds the fault
+// ledger and the conservation verdict to each row, so every down/up and
+// partition/heal transition is auditable in the report (and a conservation
+// violation shows as conserved=false rather than silently wrong goodput).
+func (r *Runner) LinkNotes() []string {
 	stats := r.Topo.Stats()
-	if len(stats) <= maxPerLinkNotes {
-		return r.FaultStatsNotesInto(dst)
+	if len(stats) > maxPerLinkNotes {
+		return conservationNotes(stats)
 	}
-	dst = dst[:0]
+	notes := make([]string, 0, len(stats))
+	for _, s := range stats {
+		if r.faultSpec.Empty() {
+			notes = append(notes, fmt.Sprintf("link %s: delivered=%d wire_lost=%d queue_dropped=%d",
+				s.Name, s.Delivered, s.WireLost, s.QueueDropped))
+		} else {
+			notes = append(notes, fmt.Sprintf("link %s: delivered=%d wire_lost=%d queue_dropped=%d fault_dropped=%d conserved=%v",
+				s.Name, s.Delivered, s.WireLost, s.QueueDropped, s.FaultDropped, s.Conserved()))
+		}
+	}
+	return notes
+}
+
+// conservationNotes renders the byte-conservation audit of a large
+// topology: one aggregate line (link count, conserved/violated split, byte
+// totals per ledger term), the topOffenderNotes loss-heaviest links (by
+// wire-lost + queue-dropped + fault-dropped bytes, AddLink order on ties —
+// deterministic), and one line per non-conserved link with its full ledger,
+// so a violation is never hidden by the summarization.
+func conservationNotes(stats []netem.LinkStats) []string {
 	var delivered, wireLost, queueDropped, faultDropped int64
 	violated := 0
 	for i := range stats {
@@ -1105,9 +1078,9 @@ func (r *Runner) ConservationNotesInto(dst []string, topK int) []string {
 			violated++
 		}
 	}
-	dst = append(dst, fmt.Sprintf(
+	notes := []string{fmt.Sprintf(
 		"links: %d total, %d conserved, %d violated; bytes delivered=%d wire_lost=%d queue_dropped=%d fault_dropped=%d",
-		len(stats), len(stats)-violated, violated, delivered, wireLost, queueDropped, faultDropped))
+		len(stats), len(stats)-violated, violated, delivered, wireLost, queueDropped, faultDropped)}
 
 	lossBytes := func(s *netem.LinkStats) int64 {
 		return s.WireLostBytes + s.QueueDroppedBytes + s.FaultDroppedBytes
@@ -1119,12 +1092,12 @@ func (r *Runner) ConservationNotesInto(dst []string, topK int) []string {
 	sort.SliceStable(order, func(a, b int) bool {
 		return lossBytes(&stats[order[a]]) > lossBytes(&stats[order[b]])
 	})
-	for k := 0; k < topK && k < len(order); k++ {
+	for k := 0; k < topOffenderNotes && k < len(order); k++ {
 		s := &stats[order[k]]
 		if lossBytes(s) == 0 {
 			break
 		}
-		dst = append(dst, fmt.Sprintf(
+		notes = append(notes, fmt.Sprintf(
 			"top_loss %d: link %s: wire_lost_B=%d queue_dropped_B=%d fault_dropped_B=%d delivered_B=%d conserved=%v",
 			k+1, s.Name, s.WireLostBytes, s.QueueDroppedBytes, s.FaultDroppedBytes, s.DeliveredBytes, s.Conserved()))
 	}
@@ -1133,11 +1106,11 @@ func (r *Runner) ConservationNotesInto(dst []string, topK int) []string {
 		if s.Conserved() {
 			continue
 		}
-		dst = append(dst, fmt.Sprintf(
+		notes = append(notes, fmt.Sprintf(
 			"VIOLATED link %s: offered_B=%d delivered_B=%d wire_lost_B=%d queue_dropped_B=%d fault_dropped_B=%d queued_B=%d tx_B=%d",
 			s.Name, s.OfferedBytes, s.DeliveredBytes, s.WireLostBytes, s.QueueDroppedBytes, s.FaultDroppedBytes, s.QueuedBytes, s.TxBytes))
 	}
-	return dst
+	return notes
 }
 
 // Run advances the simulation to the given time (seconds) — all shards in

@@ -56,7 +56,7 @@ func RunParkingLot(ctx context.Context, scale float64, seed int64) (*Report, err
 		// Per-link accounting for the deepest PCC run, so the report shows
 		// conservation across every hop of the route.
 		if proto == "pcc" && nHops == 3 {
-			res.notes = r.LinkStatsNotes()
+			res.notes = r.LinkNotes()
 		}
 		return res
 	})

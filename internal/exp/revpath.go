@@ -65,7 +65,7 @@ func RunRevPath(ctx context.Context, scale float64, seed int64) (*Report, error)
 			res.rev = rev.WindowMbps(0.2*dur, dur)
 		}
 		if proto == "pcc" && mode == 2 {
-			res.notes = r.LinkStatsNotes()
+			res.notes = r.LinkNotes()
 		}
 		return res
 	})

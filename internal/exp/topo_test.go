@@ -83,13 +83,13 @@ func TestShapeParkingLotSqueeze(t *testing.T) {
 	// Per-link accounting must hold after the run (drained queues excepted —
 	// conservation here is delivered+lost+dropped+still-queued ≤ offered, so
 	// just assert the counters moved and aggregate into the report notes).
-	notes := r.LinkStatsNotes()
+	notes := r.LinkNotes()
 	if len(notes) != 3 {
-		t.Fatalf("LinkStatsNotes = %d entries, want 3", len(notes))
+		t.Fatalf("LinkNotes = %d entries, want 3", len(notes))
 	}
 	for _, n := range notes {
-		if !strings.Contains(n, "delivered=") {
-			t.Errorf("malformed link stats note %q", n)
+		if !strings.Contains(n, "delivered=") || strings.Contains(n, "fault_dropped=") {
+			t.Errorf("malformed link stats note %q (want a plain row: the runner has no faults)", n)
 		}
 	}
 }
@@ -129,4 +129,31 @@ func TestTopologyRunnerRequiresRoutes(t *testing.T) {
 		}
 	}()
 	r.AddFlow(FlowSpec{Proto: "pcc"})
+}
+
+// TestLinkNotesFormats pins the three note formats LinkNotes picks between:
+// plain per-link rows, per-link rows with the fault ledger when the runner
+// has a fault schedule, and the aggregate audit above maxPerLinkNotes links.
+func TestLinkNotesFormats(t *testing.T) {
+	t.Parallel()
+	chain := func(n int) []LinkSpec {
+		links := make([]LinkSpec, n)
+		for i := range links {
+			links[i] = LinkSpec{Name: hopName(i), From: nodeName(i), To: nodeName(i + 1), RateMbps: 10, Delay: 0.001}
+		}
+		return links
+	}
+	plain := NewTopologyRunner(TopologySpec{Links: chain(2)}).LinkNotes()
+	if want := "link " + hopName(0) + ": delivered=0 wire_lost=0 queue_dropped=0"; len(plain) != 2 || plain[0] != want {
+		t.Errorf("plain notes = %q, want 2 rows starting %q", plain, want)
+	}
+	down := &netem.FaultSchedule{Events: []netem.FaultEvent{{At: 1, Kind: netem.FaultLinkDown, Link: hopName(1)}}}
+	faulted := NewTopologyRunner(TopologySpec{Links: chain(2), Faults: down}).LinkNotes()
+	if want := "link " + hopName(0) + ": delivered=0 wire_lost=0 queue_dropped=0 fault_dropped=0 conserved=true"; len(faulted) != 2 || faulted[0] != want {
+		t.Errorf("faulted notes = %q, want 2 rows starting %q", faulted, want)
+	}
+	big := NewTopologyRunner(TopologySpec{Links: chain(maxPerLinkNotes + 1)}).LinkNotes()
+	if len(big) != 1 || !strings.HasPrefix(big[0], "links: 21 total, 21 conserved, 0 violated;") {
+		t.Errorf("aggregate notes = %q, want one audit line for 21 links", big)
+	}
 }

@@ -59,7 +59,7 @@ func RunWideChain(ctx context.Context, scale float64, seed int64) (*Report, erro
 		}}
 		ts.f64 = crossT
 		if proto == "pcc" {
-			res.notes = r.LinkStatsNotes()
+			res.notes = r.LinkNotes()
 		}
 		return res
 	})

@@ -13,7 +13,7 @@ import (
 func BenchmarkLinkForward(b *testing.B) {
 	eng := sim.NewEngine()
 	pool := &netem.PacketPool{}
-	l := netem.NewLink(eng, netem.NewDropTail(64*netem.KB), netem.Mbps(1000), 0.0001, 0, nil)
+	l := netem.NewLink(eng, netem.NewDropTail(64*netem.KB), netem.Mbps(1000), 0.0001, 0, 0)
 	l.Pool = pool
 	delivered := 0
 	l.Sink = func(p *netem.Packet) {
@@ -52,7 +52,7 @@ func BenchmarkLinkForward(b *testing.B) {
 func BenchmarkDeepBDP(b *testing.B) {
 	eng := sim.NewEngine()
 	pool := &netem.PacketPool{}
-	l := netem.NewLink(eng, netem.NewDropTail(-1), netem.Mbps(1000), 0.5, 0, nil)
+	l := netem.NewLink(eng, netem.NewDropTail(-1), netem.Mbps(1000), 0.5, 0, 0)
 	l.Pool = pool
 	delivered := 0
 	l.Sink = func(p *netem.Packet) {
@@ -95,7 +95,7 @@ func BenchmarkTopologyForward3Hop(b *testing.B) {
 	nodes := []string{"A", "B", "C", "D"}
 	for i := 0; i < 3; i++ {
 		topo.AddLink(nodes[i]+nodes[i+1], nodes[i], nodes[i+1],
-			netem.NewDropTail(64*netem.KB), netem.Mbps(1000), 0.0001, 0, nil)
+			netem.NewDropTail(64*netem.KB), netem.Mbps(1000), 0.0001, 0, 0)
 	}
 	delivered := 0
 	topo.AddFlow(0,

@@ -140,7 +140,7 @@ func TestSetDownDropsInFlight(t *testing.T) {
 	seeds := sim.NewSeeds(1)
 	// 1500 B at 1.5 MB/s = 1 ms serialization, 50 ms propagation: a deep
 	// in-flight train.
-	link := NewLink(eng, NewDropTail(-1), 1500*1000, 0.050, 0, seeds.NextRand())
+	link := NewLink(eng, NewDropTail(-1), 1500*1000, 0.050, 0, seeds.Next())
 	delivered := 0
 	link.Sink = func(p *Packet) { delivered++ }
 	eng.At(0, func() {
@@ -187,7 +187,7 @@ func TestSetDownDropsInFlight(t *testing.T) {
 func TestSetDownUpResumes(t *testing.T) {
 	eng := sim.NewEngine()
 	seeds := sim.NewSeeds(1)
-	link := NewLink(eng, NewDropTail(-1), 1500*1000, 0.010, 0, seeds.NextRand())
+	link := NewLink(eng, NewDropTail(-1), 1500*1000, 0.010, 0, seeds.Next())
 	var arrivals []float64
 	link.Sink = func(p *Packet) { arrivals = append(arrivals, eng.Now()) }
 	eng.At(0, func() { link.SetDown(true) })
@@ -224,7 +224,7 @@ func TestSetDownUpResumes(t *testing.T) {
 func TestSetDownIdempotent(t *testing.T) {
 	eng := sim.NewEngine()
 	seeds := sim.NewSeeds(1)
-	link := NewLink(eng, NewDropTail(-1), 1500*1000, 0.050, 0, seeds.NextRand())
+	link := NewLink(eng, NewDropTail(-1), 1500*1000, 0.050, 0, seeds.Next())
 	n := 0
 	link.Sink = func(p *Packet) { n++ }
 	eng.At(0, func() {
@@ -308,7 +308,7 @@ func TestVaryingDoesNotResurrectDownedLink(t *testing.T) {
 func TestLinkResetWhileDown(t *testing.T) {
 	eng := sim.NewEngine()
 	seeds := sim.NewSeeds(5)
-	link := NewLink(eng, NewDropTail(-1), 1500*1000, 0.050, 0, seeds.NextRand())
+	link := NewLink(eng, NewDropTail(-1), 1500*1000, 0.050, 0, seeds.Next())
 	link.Sink = func(p *Packet) {}
 	eng.At(0, func() {
 		for i := int64(0); i < 8; i++ {

@@ -1,10 +1,6 @@
 package netem
 
-import (
-	"math/rand"
-
-	"pcc/internal/sim"
-)
+import "pcc/internal/sim"
 
 // Units helpers. All rates in this repository are bytes per second.
 
@@ -100,11 +96,11 @@ type Link struct {
 	dt *DropTail
 }
 
-// NewLink builds a link with the given queue and parameters. The rng drives
-// the loss process only; a nil rng disables random loss regardless of
-// LossRate.
-func NewLink(eng *sim.Engine, q Queue, rateBps, delay, lossRate float64, rng *rand.Rand) *Link {
-	l := &Link{Eng: eng, Queue: q, Rate: rateBps, Delay: delay, LossRate: lossRate, rng: WrapRng(rng)}
+// NewLink builds a link with the given queue and parameters. seed seeds the
+// loss process, which is materialized only when the link first draws from
+// it (see Rng).
+func NewLink(eng *sim.Engine, q Queue, rateBps, delay, lossRate float64, seed int64) *Link {
+	l := &Link{Eng: eng, Queue: q, Rate: rateBps, Delay: delay, LossRate: lossRate, rng: SeededRng(seed)}
 	l.dt, _ = q.(*DropTail)
 	l.finishFn = func(a any) { l.finish(a.(*Packet)) }
 	// Sink is typically assigned after construction; the delivery paths
@@ -126,8 +122,8 @@ func NewLink(eng *sim.Engine, q Queue, rateBps, delay, lossRate float64, rng *ra
 // new rate/delay/loss parameters, a re-seeded loss stream, and zeroed
 // counters, with the propagation pipe and queue storage retained. The seed
 // must come from the same derivation-chain position a fresh NewLink would
-// have drawn its rng from, so the loss process is bit-identical to a fresh
-// build. The caller resets the queue separately (capacity may change).
+// have been given, so the loss process is bit-identical to a fresh build.
+// The caller resets the queue separately (capacity may change).
 func (l *Link) Reset(rateBps, delay, lossRate float64, seed int64) {
 	l.Rate, l.Delay, l.LossRate = rateBps, delay, lossRate
 	l.dt, _ = l.Queue.(*DropTail)
@@ -193,7 +189,7 @@ func (l *Link) finish(p *Packet) {
 		l.txBytes = 0
 		return
 	}
-	if l.LossRate > 0 && l.rng.Valid() && l.rng.Float64() < l.LossRate {
+	if l.LossRate > 0 && l.rng.Float64() < l.LossRate {
 		l.lost++
 		l.lostBytes += int64(p.Size)
 		l.Pool.Put(p)

@@ -176,7 +176,7 @@ func TestFQIsolation(t *testing.T) {
 func TestLinkSerializationTiming(t *testing.T) {
 	eng := sim.NewEngine()
 	seeds := sim.NewSeeds(1)
-	link := NewLink(eng, NewDropTail(-1), 1500*100, 0.010, 0, seeds.NextRand())
+	link := NewLink(eng, NewDropTail(-1), 1500*100, 0.010, 0, seeds.Next())
 	var arrivals []float64
 	link.Sink = func(p *Packet) { arrivals = append(arrivals, eng.Now()) }
 	eng.At(0, func() {
@@ -196,7 +196,7 @@ func TestLinkSerializationTiming(t *testing.T) {
 func TestLinkRandomLossRate(t *testing.T) {
 	eng := sim.NewEngine()
 	seeds := sim.NewSeeds(7)
-	link := NewLink(eng, NewDropTail(-1), 1500*1e6, 0, 0.1, seeds.NextRand())
+	link := NewLink(eng, NewDropTail(-1), 1500*1e6, 0, 0.1, seeds.Next())
 	delivered := 0
 	link.Sink = func(p *Packet) { delivered++ }
 	const n = 20000
@@ -216,7 +216,7 @@ func TestLinkRandomLossRate(t *testing.T) {
 // 100 Mbps bottleneck from "senders" to "receivers".
 func newBottleneck(eng *sim.Engine, seeds *sim.Seeds) (*Topology, *Link) {
 	topo := NewTopology(eng)
-	return topo, topo.AddLink("bottleneck", "senders", "receivers", NewDropTail(-1), Mbps(100), 0, 0, seeds.NextRand())
+	return topo, topo.AddLink("bottleneck", "senders", "receivers", NewDropTail(-1), Mbps(100), 0, 0, seeds.Next())
 }
 
 // fwd30ms/rev30ms route a flow over the bottleneck at a 30 ms RTT: a 15 ms

@@ -25,7 +25,7 @@ type pipeRun struct {
 func runOverloadedLink(q Queue, delay float64, flows int) pipeRun {
 	eng := sim.NewEngine()
 	pool := &PacketPool{}
-	l := NewLink(eng, q, Mbps(10), delay, 0, nil)
+	l := NewLink(eng, q, Mbps(10), delay, 0, 0)
 	l.Pool = pool
 	queueUsePool(q, pool)
 	var out pipeRun

@@ -86,8 +86,8 @@ func TestRespecFlowRebuildsOnShapeChange(t *testing.T) {
 	topo := NewTopology(eng)
 	pool := &PacketPool{}
 	topo.UsePool(pool)
-	topo.AddLink("a", "A", "B", NewDropTail(-1), Mbps(100), 0.001, 0, seeds.NextRand())
-	topo.AddLink("b", "B", "C", NewDropTail(-1), Mbps(100), 0.001, 0, seeds.NextRand())
+	topo.AddLink("a", "A", "B", NewDropTail(-1), Mbps(100), 0.001, 0, seeds.Next())
+	topo.AddLink("b", "B", "C", NewDropTail(-1), Mbps(100), 0.001, 0, seeds.Next())
 
 	got := 0
 	sink := func(p *Packet) { got++; pool.Put(p) }
@@ -185,12 +185,12 @@ func TestLinkResetReplaysLossStream(t *testing.T) {
 	}
 	seeds := sim.NewSeeds(21)
 	engA := sim.NewEngine()
-	fresh := NewLink(engA, NewDropTail(-1), Mbps(100), 0, 0.1, seeds.NextRand())
+	fresh := NewLink(engA, NewDropTail(-1), Mbps(100), 0, 0.1, seeds.Next())
 	fresh.Sink = func(p *Packet) {}
 	wantLost := run(fresh, engA)
 
 	engB := sim.NewEngine()
-	reused := NewLink(engB, NewDropTail(-1), Mbps(100), 0, 0.2, sim.NewSeeds(99).NextRand())
+	reused := NewLink(engB, NewDropTail(-1), Mbps(100), 0, 0.2, sim.NewSeeds(99).Next())
 	reused.Sink = func(p *Packet) {}
 	run(reused, engB) // materialize and advance the old stream
 	engB.Reset(nil)

@@ -1,10 +1,6 @@
 package netem
 
-import (
-	"math/rand"
-
-	"pcc/internal/sim"
-)
+import "math/rand"
 
 // Rng is a lazily materialized deterministic random stream for loss
 // processes. Seeding a math/rand generator fills a 607-word feedback
@@ -14,15 +10,11 @@ import (
 // seed at construction time and builds the generator on first draw: the
 // seed-derivation chain (sim.Seeds) advances identically whether or not the
 // stream is ever used, and the draw sequence once materialized is identical
-// to an eagerly constructed generator, so recorded experiment outputs are
-// unchanged.
-//
-// The zero Rng is "no stream": Valid reports false and loss processes stay
-// disabled, mirroring the old nil-*rand.Rand convention.
+// to an eagerly constructed rand.New(rand.NewSource(seed)), so recorded
+// experiment outputs are unchanged.
 type Rng struct {
 	seed int64
 	r    *rand.Rand
-	ok   bool
 	// stale marks a materialized generator whose seed changed (Reseed on a
 	// stream that already drew); it is re-seeded in place on the next draw,
 	// so reuse never reallocates the 607-word register.
@@ -31,19 +23,7 @@ type Rng struct {
 
 // SeededRng returns a stream that will materialize rand.New(rand.NewSource
 // (seed)) on first draw.
-func SeededRng(seed int64) Rng { return Rng{seed: seed, ok: true} }
-
-// WrapRng adopts an existing generator (nil yields the invalid zero Rng).
-func WrapRng(r *rand.Rand) Rng {
-	if r == nil {
-		return Rng{}
-	}
-	return Rng{r: r, ok: true}
-}
-
-// Valid reports whether the stream exists; an invalid stream must not be
-// drawn from.
-func (g *Rng) Valid() bool { return g.ok }
+func SeededRng(seed int64) Rng { return Rng{seed: seed} }
 
 // Reseed rewinds the stream to a new seed in place, keeping any generator
 // already materialized (it is lazily re-seeded on the next draw, which
@@ -51,16 +31,13 @@ func (g *Rng) Valid() bool { return g.ok }
 // It is the arena-reuse counterpart of SeededRng.
 func (g *Rng) Reseed(seed int64) {
 	g.seed = seed
-	g.ok = true
 	g.stale = g.r != nil
 }
 
 // Float64 draws from the stream, materializing the generator on first use.
 func (g *Rng) Float64() float64 {
 	if g.r == nil {
-		// The cached source makes later re-seeds of this stream a state
-		// copy; the stream itself is bit-identical to rand.NewSource's.
-		g.r = rand.New(sim.NewCachedSource(g.seed))
+		g.r = rand.New(rand.NewSource(g.seed))
 	} else if g.stale {
 		g.r.Seed(g.seed)
 		g.stale = false

@@ -2,7 +2,6 @@ package netem
 
 import (
 	"fmt"
-	"math/rand"
 
 	"pcc/internal/sim"
 )
@@ -282,7 +281,7 @@ func (h *hop) enter(p *Packet) {
 		h.link.link.Send(p)
 		return
 	}
-	if h.loss > 0 && h.rng.Valid() && h.rng.Float64() < h.loss {
+	if h.loss > 0 && h.rng.Float64() < h.loss {
 		if h.pool != nil {
 			h.pool.Put(p)
 		} else {
@@ -390,17 +389,17 @@ func (t *Topology) linkAt(name string) *linkInfo {
 }
 
 // AddLink creates the directed link from→to and registers it under name.
-// Nodes exist implicitly as link endpoints. The rng drives the link's wire
-// loss process only; nil disables random loss. If UsePool was already
-// called, the new link joins the pool.
-func (t *Topology) AddLink(name, from, to string, q Queue, rateBps, delay, lossRate float64, rng *rand.Rand) *Link {
+// Nodes exist implicitly as link endpoints. seed seeds the link's wire loss
+// process (see NewLink). If UsePool was already called, the new link joins
+// the pool.
+func (t *Topology) AddLink(name, from, to string, q Queue, rateBps, delay, lossRate float64, seed int64) *Link {
 	if _, dup := t.linkIdx[name]; dup {
 		panic(fmt.Sprintf("netem: duplicate link %q", name))
 	}
 	fromID, toID := t.nodeID(from), t.nodeID(to)
 	sFrom, sTo := t.nodeShards[fromID], t.nodeShards[toID]
 	li := &linkInfo{name: name, from: from, to: to, fromID: fromID, toID: toID, shard: sFrom, sinkShard: sTo}
-	li.link = NewLink(t.engineFor(sFrom), q, rateBps, delay, lossRate, rng)
+	li.link = NewLink(t.engineFor(sFrom), q, rateBps, delay, lossRate, seed)
 	li.link.Sink = func(p *Packet) { li.dispatch(t, p) }
 	if sFrom != sTo {
 		if delay < t.lookahead {

@@ -18,7 +18,7 @@ func threeHopTopo(t *testing.T, eng *sim.Engine, seeds *sim.Seeds, bufBytes []in
 	names := []string{"l1", "l2", "l3"}
 	nodes := []string{"A", "B", "C", "D"}
 	for i, n := range names {
-		topo.AddLink(n, nodes[i], nodes[i+1], NewDropTail(bufBytes[i]), Mbps(100), 0.001, loss[i], seeds.NextRand())
+		topo.AddLink(n, nodes[i], nodes[i+1], NewDropTail(bufBytes[i]), Mbps(100), 0.001, loss[i], seeds.Next())
 	}
 	delivered := 0
 	topo.AddFlow(0,
@@ -34,8 +34,8 @@ func TestTopologyMultiHopTiming(t *testing.T) {
 	eng := sim.NewEngine()
 	seeds := sim.NewSeeds(1)
 	topo := NewTopology(eng)
-	topo.AddLink("l1", "A", "B", NewDropTail(-1), 1500*100, 0.010, 0, nil)
-	topo.AddLink("l2", "B", "C", NewDropTail(-1), 1500*100, 0.020, 0, nil)
+	topo.AddLink("l1", "A", "B", NewDropTail(-1), 1500*100, 0.010, 0, 0)
+	topo.AddLink("l2", "B", "C", NewDropTail(-1), 1500*100, 0.020, 0, 0)
 	var arrival float64
 	topo.AddFlow(0,
 		[]HopSpec{DelayHop(0.003), LinkHop("l1"), LinkHop("l2")},
@@ -108,8 +108,8 @@ func TestTopologySharedLinkAckCompetition(t *testing.T) {
 	topo := NewTopology(eng)
 	pool := &PacketPool{}
 	topo.UsePool(pool)
-	topo.AddLink("ab", "A", "B", NewDropTail(-1), Mbps(10), 0.005, 0, seeds.NextRand())
-	topo.AddLink("ba", "B", "A", NewDropTail(-1), Mbps(10), 0.005, 0, seeds.NextRand())
+	topo.AddLink("ab", "A", "B", NewDropTail(-1), Mbps(10), 0.005, 0, seeds.Next())
+	topo.AddLink("ba", "B", "A", NewDropTail(-1), Mbps(10), 0.005, 0, seeds.Next())
 
 	acks := map[int]int{}
 	mkSinks := func(id int) (func(*Packet), func(*Packet)) {
@@ -157,7 +157,7 @@ func TestTopologyDelayHopLoss(t *testing.T) {
 	topo := NewTopology(eng)
 	pool := &PacketPool{}
 	topo.UsePool(pool)
-	topo.AddLink("l", "A", "B", NewDropTail(-1), Mbps(1000), 0, 0, nil)
+	topo.AddLink("l", "A", "B", NewDropTail(-1), Mbps(1000), 0, 0, 0)
 	got := 0
 	topo.AddFlow(0,
 		[]HopSpec{LossyDelayHop(0.001, 0.2), LinkHop("l")},
@@ -192,7 +192,7 @@ func TestRouteSetLoss(t *testing.T) {
 	topo := NewTopology(eng)
 	pool := &PacketPool{}
 	topo.UsePool(pool)
-	topo.AddLink("l", "A", "B", NewDropTail(-1), Mbps(1000), 0, 0, nil)
+	topo.AddLink("l", "A", "B", NewDropTail(-1), Mbps(1000), 0, 0, 0)
 	got := 0
 	fwd, _ := topo.AddFlow(0,
 		[]HopSpec{DelayHop(0.001), LinkHop("l")},
@@ -241,9 +241,9 @@ func TestTopologyRouteValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	seeds := sim.NewSeeds(1)
 	topo := NewTopology(eng)
-	topo.AddLink("l1", "A", "B", NewDropTail(-1), Mbps(10), 0, 0, nil)
-	topo.AddLink("l2", "B", "C", NewDropTail(-1), Mbps(10), 0, 0, nil)
-	topo.AddLink("back", "B", "A", NewDropTail(-1), Mbps(10), 0, 0, nil)
+	topo.AddLink("l1", "A", "B", NewDropTail(-1), Mbps(10), 0, 0, 0)
+	topo.AddLink("l2", "B", "C", NewDropTail(-1), Mbps(10), 0, 0, 0)
+	topo.AddLink("back", "B", "A", NewDropTail(-1), Mbps(10), 0, 0, 0)
 
 	mustPanic(t, []string{"unknown link", "nope", "7"}, func() {
 		topo.AddFlow(7, []HopSpec{LinkHop("nope")}, []HopSpec{DelayHop(0)}, seeds, nil, nil)
@@ -260,7 +260,7 @@ func TestTopologyRouteValidation(t *testing.T) {
 		topo.AddFlow(10, nil, nil, seeds, nil, nil)
 	})
 	mustPanic(t, []string{"duplicate link", "l1"}, func() {
-		topo.AddLink("l1", "A", "B", NewDropTail(-1), Mbps(10), 0, 0, nil)
+		topo.AddLink("l1", "A", "B", NewDropTail(-1), Mbps(10), 0, 0, 0)
 	})
 
 	topo.AddFlow(0, []HopSpec{LinkHop("l1"), LinkHop("l2")}, []HopSpec{DelayHop(0)}, seeds, nil, nil)

@@ -1,8 +1,13 @@
 package serve
 
 import (
-	"runtime/debug"
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
+	"os"
+	"strconv"
 	"sync"
+	"time"
 )
 
 var (
@@ -10,31 +15,36 @@ var (
 	versionStr  string
 )
 
-// BuildVersion identifies the code that computed a cached result: the VCS
-// revision baked into the binary (suffixed "+dirty" for modified trees), or
-// "dev" for builds without VCS stamping (go test, go run). It participates
-// in every cache key so results computed by different code never alias.
+// BuildVersion identifies the code that computed a cached result: the hex
+// sha256 of the running executable, hashed once per process. It participates
+// in every cache key, so results computed by different code never alias —
+// not across commits, and not across two uncommitted trees or two `go run`
+// builds of one tree either. If the executable cannot be read, the version
+// is unique to this process, so its results are never served to other code.
 func BuildVersion() string {
 	versionOnce.Do(func() {
-		versionStr = "dev"
-		info, ok := debug.ReadBuildInfo()
-		if !ok {
-			return
-		}
-		var rev, dirty string
-		for _, s := range info.Settings {
-			switch s.Key {
-			case "vcs.revision":
-				rev = s.Value
-			case "vcs.modified":
-				if s.Value == "true" {
-					dirty = "+dirty"
-				}
-			}
-		}
-		if rev != "" {
-			versionStr = rev + dirty
+		if sum, err := hashExecutable(); err == nil {
+			versionStr = sum
+		} else {
+			versionStr = "unhashed-" + strconv.FormatInt(time.Now().UnixNano(), 36)
 		}
 	})
 	return versionStr
+}
+
+func hashExecutable() (string, error) {
+	path, err := os.Executable()
+	if err != nil {
+		return "", err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
