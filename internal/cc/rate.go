@@ -193,8 +193,8 @@ func (s *RateSender) algoOnLost(seq int64, now float64) {
 }
 
 // Reset returns the sender to its just-constructed state around a new
-// algorithm, for a new trial on a reset engine. The sequence window's entry
-// chunks, the retransmission queue backing, the rate-trace backing and the
+// algorithm, for a new trial on a reset engine. The sequence window's ring,
+// the retransmission queue backing, the rate-trace backing and the
 // Eng/Flow/SendData/Pool wiring are all retained, so steady-state reuse
 // allocates nothing; every tunable returns to its constructor default and
 // callers re-apply per-trial knobs exactly as they would on a fresh sender.
@@ -216,11 +216,6 @@ func (s *RateSender) Reset(algo RateAlgo) {
 	s.RateTrace = s.RateTrace[:0]
 	s.lastRate = 0
 }
-
-// SetArena points the sequence window's free-list refills at a shared
-// chunk arena (one per experiment worker). Like the Eng/Flow/SendData/Pool
-// wiring, the arena survives Reset.
-func (s *RateSender) SetArena(a *PktArena) { s.win.arena = a }
 
 // Start begins transmission.
 func (s *RateSender) Start() {
@@ -379,8 +374,8 @@ func (s *RateSender) onTail() {
 		return
 	}
 	rto := s.tailDelay()
-	for i := s.win.head; i < len(s.win.entries); i++ {
-		st := s.win.entries[i]
+	for seq := s.win.lo; seq < s.win.hi; seq++ {
+		st := s.win.at(seq)
 		// Only packets older than the tail delay are presumed lost;
 		// fresher ones may simply still be in flight.
 		if !st.sacked && !st.lost && now-st.sentAt > rto {
@@ -442,9 +437,7 @@ func (s *RateSender) OnAck(p *netem.Packet) {
 			st.sacked = true
 			s.algoOnAck(st.seq, 0, now)
 		}
-		s.win.recycle(st)
 	}
-	s.win.maybeCompact()
 
 	// Refresh the tail deadline only when the cumulative point advances:
 	// a lost retransmission leaves a hole SACK-gap detection cannot
@@ -453,15 +446,12 @@ func (s *RateSender) OnAck(p *netem.Packet) {
 		s.tailDeadline = now + s.tailDelay()
 	}
 
-	// SACK-gap loss detection. The window slice is sorted by seq, so start
-	// at the first unexamined entry; each sequence is visited once.
+	// SACK-gap loss detection. The window is dense in seq, so start at the
+	// first unexamined sequence; each sequence is visited once.
 	limit := s.sackHigh - s.DupThresh
 	if limit >= s.lossScan {
-		for i := s.win.search(s.lossScan); i < len(s.win.entries); i++ {
-			st := s.win.entries[i]
-			if st.seq > limit {
-				break
-			}
+		for seq := max(s.lossScan, s.win.lo); seq < s.win.hi && seq <= limit; seq++ {
+			st := s.win.at(seq)
 			if !st.sacked && !st.lost {
 				st.lost = true
 				s.rtxQ = append(s.rtxQ, st.seq)

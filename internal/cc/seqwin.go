@@ -1,137 +1,82 @@
 package cc
 
-// pktChunk is the refill granularity of a seqWindow's entry free list.
-const pktChunk = 64
-
-// pktArenaBlock is the allocation granularity of a PktArena, in entries.
-const pktArenaBlock = 16 * pktChunk
-
-// PktArena carves pktChunk-sized pktState sub-slices out of larger blocks.
-// One arena per experiment worker, shared by every sender that worker ever
-// builds (see exp.Runner), turns the per-window chunk allocations of a
-// many-flow trial into a handful of block allocations — and because blocks
-// outlive trials, a warm worker's windows refill without allocating at all.
-// pktState is pointer-free, so blocks cost the GC nothing to scan.
-type PktArena struct {
-	block []pktState
-}
-
-// chunk returns a zeroed pktChunk-entry slice carved from the current block.
-func (a *PktArena) chunk() []pktState {
-	if len(a.block) < pktChunk {
-		a.block = make([]pktState, pktArenaBlock)
-	}
-	c := a.block[:pktChunk:pktChunk]
-	a.block = a.block[pktChunk:]
-	return c
-}
-
-// seqWindow tracks the outstanding packets of one sender, ordered by
-// sequence number. It is the single implementation of the window machinery
-// both RateSender and WindowSender build on: entries are appended in seq
-// order, found by binary search (no per-packet map), detached from the
-// head as the cumulative ACK advances, and recycled through a free list so
+// seqWindow tracks the outstanding packets of one sender. It is the single
+// implementation of the window machinery both RateSender and WindowSender
+// build on. Senders add sequences densely (nextSeq, nextSeq+1, …), a
+// retransmission reuses its entry, and entries leave only from the low end
+// as the cumulative ACK advances, so the live sequences are always the run
+// [lo, hi). The window therefore stores pktState values in a power-of-two
+// ring indexed by seq&mask: a lookup is a bounds check and an index, and
 // steady-state operation allocates nothing.
+//
+// A *pktState returned by add or lookup is valid only until the next add,
+// which may grow (reallocate) the ring.
 type seqWindow struct {
-	entries []*pktState // ordered by seq; slots below head are nil
-	head    int
-	free    []*pktState
-	// arena, when set, supplies free-list refill chunks (see PktArena).
-	arena *PktArena
+	buf    []pktState // len is zero or a power of two
+	lo, hi int64
 }
 
-// add appends a fresh or recycled entry for seq, which must exceed every
-// seq already tracked (callers add in transmission order).
+// add tracks seq, which must be hi (callers add in transmission order),
+// doubling the ring when it is full.
 func (w *seqWindow) add(seq int64) *pktState {
-	if len(w.free) == 0 {
-		// Refill in chunks: a window ramping to its peak (incast collapse,
-		// deep-BDP flights) would otherwise allocate one object per packet.
-		var chunk []pktState
-		if w.arena != nil {
-			chunk = w.arena.chunk()
-		} else {
-			chunk = make([]pktState, pktChunk)
-		}
-		for i := range chunk {
-			w.free = append(w.free, &chunk[i])
-		}
+	if seq != w.hi {
+		panic("cc: seqWindow.add out of order")
 	}
-	n := len(w.free)
-	st := w.free[n-1]
-	w.free = w.free[:n-1]
+	if w.hi-w.lo == int64(len(w.buf)) {
+		w.grow()
+	}
+	w.hi++
+	st := w.at(seq)
 	*st = pktState{seq: seq}
-	w.entries = append(w.entries, st)
 	return st
 }
 
-// search returns the index of the first live entry with seq >= target.
-func (w *seqWindow) search(target int64) int {
-	lo, hi := w.head, len(w.entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if w.entries[mid].seq < target {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// grow doubles the ring (64 entries at first), keeping every live entry at
+// its seq&mask slot of the new ring.
+func (w *seqWindow) grow() {
+	n := 2 * len(w.buf)
+	if n == 0 {
+		n = 64
 	}
-	return lo
+	buf := make([]pktState, n)
+	for seq := w.lo; seq < w.hi; seq++ {
+		buf[seq&int64(n-1)] = *w.at(seq)
+	}
+	w.buf = buf
 }
+
+// at returns the entry for seq, which the caller knows lies in [lo, hi).
+func (w *seqWindow) at(seq int64) *pktState { return &w.buf[seq&int64(len(w.buf)-1)] }
 
 // lookup returns the entry tracking seq, or nil.
 func (w *seqWindow) lookup(seq int64) *pktState {
-	if i := w.search(seq); i < len(w.entries) && w.entries[i].seq == seq {
-		return w.entries[i]
+	if seq < w.lo || seq >= w.hi {
+		return nil
 	}
-	return nil
+	return w.at(seq)
 }
 
 // headBelow reports whether the oldest tracked entry exists and has a
 // sequence below seq (the head-advance loop condition).
-func (w *seqWindow) headBelow(seq int64) bool {
-	return w.head < len(w.entries) && w.entries[w.head].seq < seq
-}
+func (w *seqWindow) headBelow(seq int64) bool { return w.lo < w.hi && w.lo < seq }
 
-// popHead detaches the oldest tracked entry. The caller finishes with it
-// and then hands it back via recycle.
+// popHead detaches the oldest tracked entry. The returned entry stays
+// readable until the next add.
 func (w *seqWindow) popHead() *pktState {
-	st := w.entries[w.head]
-	w.entries[w.head] = nil
-	w.head++
+	st := w.at(w.lo)
+	w.lo++
 	return st
 }
 
-// recycle returns a detached entry to the free list for reuse by add.
-func (w *seqWindow) recycle(st *pktState) { w.free = append(w.free, st) }
-
-// maybeCompact shifts the live region down once the dead prefix dominates,
-// reusing the backing array.
-func (w *seqWindow) maybeCompact() {
-	if w.head > 1024 && w.head*2 > len(w.entries) {
-		n := copy(w.entries, w.entries[w.head:])
-		clear(w.entries[n:])
-		w.entries = w.entries[:n]
-		w.head = 0
-	}
-}
-
-// reset empties the window for a new flow, recycling every live entry into
-// the free list so the chunk storage is reused (steady-state reset allocates
-// nothing).
-func (w *seqWindow) reset() {
-	for i := w.head; i < len(w.entries); i++ {
-		w.free = append(w.free, w.entries[i])
-	}
-	clear(w.entries)
-	w.entries = w.entries[:0]
-	w.head = 0
-}
+// reset empties the window for a new flow. The ring is kept, so a reused
+// sender refills to its previous peak without allocating.
+func (w *seqWindow) reset() { w.lo, w.hi = 0, 0 }
 
 // outstanding counts entries not yet SACKed.
 func (w *seqWindow) outstanding() int {
 	n := 0
-	for i := w.head; i < len(w.entries); i++ {
-		if !w.entries[i].sacked {
+	for seq := w.lo; seq < w.hi; seq++ {
+		if !w.at(seq).sacked {
 			n++
 		}
 	}

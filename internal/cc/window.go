@@ -123,8 +123,8 @@ func (s *WindowSender) initDefaults(algo WindowAlgo) {
 }
 
 // Reset returns the sender to its just-constructed state around a new
-// algorithm, for a new trial on a reset engine. The sequence window's entry
-// chunks, the retransmission queue backing and the Eng/Flow/SendData/Pool
+// algorithm, for a new trial on a reset engine. The sequence window's ring,
+// the retransmission queue backing and the Eng/Flow/SendData/Pool
 // wiring are retained; every tunable returns to its constructor default and
 // callers re-apply per-trial knobs exactly as on a fresh sender.
 func (s *WindowSender) Reset(algo WindowAlgo) {
@@ -146,11 +146,6 @@ func (s *WindowSender) Reset(algo WindowAlgo) {
 	s.done, s.started = false, false
 	s.frozen = false
 }
-
-// SetArena points the sequence window's free-list refills at a shared
-// chunk arena (one per experiment worker). Like the Eng/Flow/SendData/Pool
-// wiring, the arena survives Reset.
-func (s *WindowSender) SetArena(a *PktArena) { s.win.arena = a }
 
 // Start begins transmission.
 func (s *WindowSender) Start() {
@@ -352,9 +347,7 @@ func (s *WindowSender) OnAck(p *netem.Packet) {
 			}
 			newly++
 		}
-		s.win.recycle(st)
 	}
-	s.win.maybeCompact()
 
 	if rttSample > 0 {
 		s.Est.Sample(rttSample)
@@ -383,11 +376,8 @@ func (s *WindowSender) OnAck(p *netem.Packet) {
 	lossEvent := false
 	limit := s.sackHigh - s.DupThresh
 	if limit >= s.lossScan {
-		for i := s.win.search(s.lossScan); i < len(s.win.entries); i++ {
-			st := s.win.entries[i]
-			if st.seq > limit {
-				break
-			}
+		for seq := max(s.lossScan, s.win.lo); seq < s.win.hi && seq <= limit; seq++ {
+			st := s.win.at(seq)
 			if !st.sacked && !st.lost {
 				st.lost = true
 				s.pipe--
@@ -440,8 +430,8 @@ func (s *WindowSender) onRTO() {
 		s.rtoBackoff = 64
 	}
 	s.rtxQ, s.rtxHead = s.rtxQ[:0], 0
-	for i := s.win.head; i < len(s.win.entries); i++ {
-		st := s.win.entries[i]
+	for seq := s.win.lo; seq < s.win.hi; seq++ {
+		st := s.win.at(seq)
 		if !st.sacked {
 			st.lost = true
 			s.rtxQ = append(s.rtxQ, st.seq)

@@ -226,11 +226,6 @@ type Runner struct {
 	// rands recycles driver-requested RNG streams (NextRand) across trials.
 	rands   []*rand.Rand
 	randIdx int
-	// arenas supply pktState chunks to every sender this runner ever
-	// builds — one arena per shard, so refills never cross shard
-	// goroutines. The slice is sized at construction and never reallocated
-	// (senders hold interior pointers). See cc.PktArena.
-	arenas []cc.PktArena
 
 	// Fault-injection state (topology runners with TopologySpec.Faults).
 	// faultSpec is the schedule as specced; faultEvs its materialized,
@@ -381,7 +376,6 @@ func NewTopologyRunner(ts TopologySpec) *Runner {
 	}
 	r.Eng = r.Engines[0]
 	r.PktPool = r.Pools[0]
-	r.arenas = make([]cc.PktArena, len(r.Engines))
 	for _, ls := range ts.Links {
 		r.Topo.AddLink(ls.Name, ls.From, ls.To, makeQueue(ls.QueueKind, ls.BufBytes),
 			netem.Mbps(ls.RateMbps), ls.Delay, ls.Loss, seeds.Next())
@@ -955,15 +949,13 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 		r.setWindowSender(f, algo, sEng)
 		f.WS.RTTHint = rtt
 	}
-	// Pin the sender to its shard: the engine its pacing/window timers run
-	// on and the arena its pktState refills draw from (recycled senders may
-	// move shards when a new trial routes the flow differently).
+	// Pin the sender to its shard's engine, which its pacing/window timers
+	// run on (recycled senders may move shards when a new trial routes the
+	// flow differently).
 	if f.RS != nil {
 		f.RS.Eng = sEng
-		f.RS.SetArena(&r.arenas[sShard])
 	} else {
 		f.WS.Eng = sEng
-		f.WS.SetArena(&r.arenas[sShard])
 	}
 	if f.WS != nil && capacity > 0 {
 		// Socket-buffer-like clamp: 8x the path BDP, floored generously so
@@ -999,8 +991,8 @@ func (r *Runner) AddFlow(spec FlowSpec) *Flow {
 
 // setRateSender installs a rate-based sender for the flow: the previous
 // RateSender is reset in place when one exists, else a fresh one replaces
-// whatever sender category the flow had before. The caller pins Eng and the
-// arena afterwards (both may change with the flow's shard placement).
+// whatever sender category the flow had before. The caller pins Eng
+// afterwards (it may change with the flow's shard placement).
 func (r *Runner) setRateSender(f *Flow, algo cc.RateAlgo, eng *sim.Engine) {
 	if f.RS != nil {
 		f.RS.Reset(algo)

@@ -17,13 +17,15 @@
 #                                      # regardless, so one snapshot carries
 #                                      # the intra-trial speedup comparison
 #   BENCHTIME=5x scripts/bench.sh      # override go test -benchtime (default 1x)
-#   COUNT=3 scripts/bench.sh           # override -count (default 1)
+#   COUNT=3 scripts/bench.sh           # override -count (default 1); the JSON
+#                                      # keeps each benchmark's median ns/op
 #   MEMSCALE=0.1 scripts/bench.sh -mem # override the -mem sweep's scale
 #
 # The tier-1 set is: every paper-experiment benchmark at the repo root
-# (bench_test.go) plus the scheduler/network microbenchmarks in
-# internal/sim and internal/netem. Raw `go test -bench` output is kept next
-# to the JSON (OUT.json -> OUT.txt) so benchstat can compare two snapshots:
+# (bench_test.go) plus the scheduler/network/sender microbenchmarks in
+# internal/sim, internal/netem and internal/cc. Raw `go test -bench` output
+# is kept next to the JSON (OUT.json -> OUT.txt) so benchstat can compare
+# two snapshots:
 #
 #   go run golang.org/x/perf/cmd/benchstat@latest old.txt new.txt
 #
@@ -79,7 +81,7 @@ COUNT="${COUNT:-1}"
 # leave a partial BENCH_<n>.json that looks like a perf data point.
 status=0
 go test -run '^$' -bench . -benchmem -benchtime "$BENCHTIME" -count "$COUNT" \
-    . ./internal/sim ./internal/netem | tee "$RAW" || status=$?
+    . ./internal/sim ./internal/netem ./internal/cc | tee "$RAW" || status=$?
 if [ "$status" -ne 0 ]; then
     rm -f "$RAW"
     echo "bench.sh: benchmark run failed (exit $status); no snapshot written" >&2
@@ -92,6 +94,15 @@ if ! grep -q '^Benchmark' "$RAW"; then
 fi
 
 awk -v benchtime="$BENCHTIME" -v out="$OUT" '
+# median of the k ns/op samples of name (insertion sort; k is -count).
+function median(name, k,    i, j, v, a) {
+    for (i = 0; i < k; i++) {
+        v = samples[name, i]
+        for (j = i; j > 0 && a[j - 1] > v; j--) a[j] = a[j - 1]
+        a[j] = v
+    }
+    return k % 2 ? a[(k - 1) / 2] : (a[k / 2 - 1] + a[k / 2]) / 2
+}
 BEGIN { n = 0 }
 /^Benchmark/ {
     name = $1
@@ -108,18 +119,22 @@ BEGIN { n = 0 }
         }
     }
     if (ns == "") next
-    entry = sprintf("    \"%s\": {\"ns_per_op\": %s", name, ns)
-    if (bytes != "")   entry = entry sprintf(", \"bytes_per_op\": %s", bytes)
-    if (allocs != "")  entry = entry sprintf(", \"allocs_per_op\": %s", allocs)
-    if (metrics != "") entry = entry sprintf(", \"metrics\": {%s}", metrics)
-    entry = entry "}"
-    if (!(name in entries)) order[n++] = name
-    entries[name] = entry   # -count > 1: last run wins, keys stay unique
+    rest = ""
+    if (bytes != "")   rest = rest sprintf(", \"bytes_per_op\": %s", bytes)
+    if (allocs != "")  rest = rest sprintf(", \"allocs_per_op\": %s", allocs)
+    if (metrics != "") rest = rest sprintf(", \"metrics\": {%s}", metrics)
+    if (!(name in runs)) order[n++] = name
+    # -count > 1: the JSON keeps the median ns/op of all runs under one
+    # key; bytes and allocs are deterministic, so the last run stands in.
+    samples[name, runs[name]++] = ns + 0
+    tail[name] = rest
 }
 END {
     printf "{\n  \"benchtime\": \"%s\",\n  \"benchmarks\": {\n", benchtime > out
-    for (i = 0; i < n; i++)
-        printf "%s%s\n", entries[order[i]], i + 1 < n ? "," : "" >> out
+    for (i = 0; i < n; i++) {
+        name = order[i]
+        printf "    \"%s\": {\"ns_per_op\": %.10g%s}%s\n", name, median(name, runs[name]), tail[name], i + 1 < n ? "," : "" >> out
+    }
     printf "  }\n}\n" >> out
 }
 ' "$RAW"
